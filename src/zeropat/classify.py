@@ -1,26 +1,32 @@
 """Census of strict maximal zero patterns under relabeling and transposition.
 
-Enumerates the strict patterns of size mu(n) inside the n x n grid, computes
-canonical forms for the group generated by simultaneous row/column relabeling
-and transposition, the coarser flip-equivalence encoding, and classifies every
-orbit as nonsingular, defective or exceptional from its pairing against the
-Vandermonde expansion and its exact stabilizer dimension.
+Enumerates the strict patterns of size mu(n) inside the n x n grid, sorts
+them into classes under the group G generated by simultaneous row/column
+relabeling and transposition (|G| = 2 n!), keys each class by the coarser
+flip equivalence, and classifies every class as nonsingular, defective or
+exceptional from its pairing against the Vandermonde expansion and its exact
+stabilizer dimension.
 
-The enumeration is a single deterministic vectorized pass: patterns become
-rows of a bit matrix, each group element acts as a column permutation, and
-the canonical form of a pattern is the minimum of its orbit's integer
-encodings.  Output is reproducible bit for bit.
+One orbit engine serves every consumer.  A pattern is its occupancy mask
+over the n x n grid (``Pattern.mask``, 64-bit, so n <= 8), and one lazily
+built gather table per n maps a mask to its |G| image masks.  The canonical
+form of a pattern is its minimum image; its flip key is the minimum
+pair-multiplicity code over its images.  The census walks the sorted masks
+of all strict patterns: the first unvisited mask is the minimum of its orbit,
+hence the class representative, and marking its images visited gives the
+orbit size.  Output is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import Pattern, mu, ne, transposition
+from .patterns import Pattern, j_hessenberg, mu, ne, transposition
 from .polynomials import (
     chi,
     in_coinvariant_ideal,
@@ -30,6 +36,8 @@ from .polynomials import (
 from .stabdim import stabilizer_dim
 
 MAX_ENUM_N = 5
+# the n x n grid must fit the 64-bit masks the orbit engine works on
+MAX_MASK_N = 8
 
 STATUS_NONSINGULAR = "nonsingular"
 STATUS_DEFECTIVE = "defective"
@@ -118,116 +126,88 @@ def strict_count(n: int) -> int:
     return math.comb(2 * mu(n), mu(n))
 
 
-def _enumerate_bits(n: int) -> np.ndarray:
-    """Bit matrix of all strict size-mu(n) patterns, one row per pattern,
-    columns indexed by offdiag_cells(n)."""
-    cells = offdiag_cells(n)
-    combos = np.array(
-        list(itertools.combinations(range(len(cells)), mu(n))), dtype=np.int64
+# -- the orbit engine ------------------------------------------------------------
+
+
+@functools.cache
+def _group_table(n: int) -> np.ndarray:
+    """Gather table of G on the n x n grid, 2 n! rows by n^2 columns: the
+    image of a mask under row g has at cell c the bit the mask has at cell
+    table[g, c].  Cell c is bit c of ``Pattern.mask``, (i-1)*n + (j-1)."""
+    if not 1 <= n <= MAX_MASK_N:
+        raise ValueError(
+            f"orbit masks are 64-bit: need 1 <= n <= {MAX_MASK_N}, got {n}"
+        )
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    relabel = perms[:, :, None] * n + perms[:, None, :]
+    table = np.concatenate([relabel, relabel.transpose(0, 2, 1)])
+    table = table.reshape(-1, n * n)
+    table.flags.writeable = False
+    return table
+
+
+def _cell_bits(masks, n: int) -> np.ndarray:
+    """Occupancy bits of masks, cell c at index c of a new last axis."""
+    cells = np.arange(n * n, dtype=np.uint64)
+    return (np.asarray(masks, dtype=np.uint64)[..., None] >> cells) & np.uint64(1)
+
+
+def _orbit_images(mask: int, n: int) -> np.ndarray:
+    """The 2 n! image masks of one occupancy mask under relabeling and
+    transposition, one per group element, repeated where the stabilizer is
+    nontrivial.  Needs n <= 8."""
+    table = _group_table(n)
+    powers = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
+    return _cell_bits(mask, n)[table] @ powers
+
+
+def _weak_code(masks, n: int) -> int:
+    """Minimum pair-multiplicity code over masks.  A code lists the
+    multiplicities (0, 1 or 2) of the unordered pairs {i < j} in
+    lexicographic order as base-3 digits, most significant first, so codes
+    order like those tuples; diagonal cells do not count."""
+    weights = np.zeros((n, n), dtype=np.uint64)
+    weights[np.triu_indices(n, 1)] = np.uint64(3) ** np.arange(
+        mu(n) - 1, -1, -1, dtype=np.uint64
     )
-    bits = np.zeros((combos.shape[0], len(cells)), dtype=np.uint8)
-    rows = np.repeat(np.arange(combos.shape[0]), mu(n))
-    bits[rows, combos.ravel()] = 1
-    return bits
+    return int((_cell_bits(masks, n) @ (weights + weights.T).ravel()).min())
 
 
-def _group_cell_maps(n: int) -> list[np.ndarray]:
-    """For each group element (relabeling, optionally composed with
-    transposition) the array q with image_bits[:, c] = bits[:, q[c]]."""
-    cells = offdiag_cells(n)
-    index = {c: k for k, c in enumerate(cells)}
-    maps = []
-    for sigma in itertools.permutations(range(1, n + 1)):
-        for flip in (False, True):
-            q = np.empty(len(cells), dtype=np.int64)
-            for k, (i, j) in enumerate(cells):
-                a, b = sigma[i - 1], sigma[j - 1]
-                if flip:
-                    a, b = b, a
-                q[index[(a, b)]] = k
-            maps.append(q)
-    return maps
+def _strict_masks(n: int) -> np.ndarray:
+    """Sorted occupancy masks of all strict size-mu(n) patterns."""
+    cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
+    flat = itertools.chain.from_iterable(itertools.combinations(cells, mu(n)))
+    combos = np.fromiter(flat, dtype=np.uint64).reshape(-1, mu(n))
+    return np.sort((np.uint64(1) << combos).sum(axis=1))
 
 
-def _pair_slots(n: int):
-    """Unordered pairs {i < j} and, per relabeling, the slot permutation."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    index = {p: k for k, p in enumerate(pairs)}
-    maps = []
-    for sigma in itertools.permutations(range(1, n + 1)):
-        q = np.empty(len(pairs), dtype=np.int64)
-        for k, (i, j) in enumerate(pairs):
-            a, b = sigma[i - 1], sigma[j - 1]
-            if a > b:
-                a, b = b, a
-            q[index[(a, b)]] = k
-        maps.append(q)
-    return pairs, maps
-
-
-def _canonical_values(bits: np.ndarray, n: int) -> np.ndarray:
-    weights = (np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64))
-    bits64 = bits.astype(np.uint64)
-    best = None
-    for q in _group_cell_maps(n):
-        v = bits64[:, q] @ weights
-        best = v if best is None else np.minimum(best, v)
-    return best
-
-
-def _weak_values(bits: np.ndarray, n: int) -> np.ndarray:
-    cells = offdiag_cells(n)
-    index = {c: k for k, c in enumerate(cells)}
-    pairs, maps = _pair_slots(n)
-    mult = np.empty((bits.shape[0], len(pairs)), dtype=np.uint64)
-    for k, (i, j) in enumerate(pairs):
-        mult[:, k] = bits[:, index[(i, j)]].astype(np.uint64) + bits[
-            :, index[(j, i)]
-        ].astype(np.uint64)
-    weights = np.array([3**k for k in range(len(pairs))], dtype=np.uint64)
-    best = None
-    for q in maps:
-        v = mult[:, q] @ weights
-        best = v if best is None else np.minimum(best, v)
-    return best
-
-
-def _pattern_from_cell_value(value: int, n: int) -> Pattern:
-    cells = offdiag_cells(n)
-    pos = [cells[k] for k in range(len(cells)) if (int(value) >> k) & 1]
-    return Pattern(pos)
+def _class_walk(n: int):
+    """Yield (canonical mask, orbit) for every class of strict size-mu(n)
+    patterns in increasing canonical mask; orbit is the sorted array of the
+    masks in the class."""
+    masks = _strict_masks(n)
+    visited = np.zeros(masks.size, dtype=bool)
+    for k in range(masks.size):
+        if not visited[k]:
+            orbit = np.unique(_orbit_images(int(masks[k]), n))
+            visited[np.searchsorted(masks, orbit)] = True
+            yield int(masks[k]), orbit
 
 
 def canonical_form(I: Pattern, n: int) -> Pattern:
     """Minimum occupancy mask over the orbit of I under relabeling and
-    transposition; constant on orbits and distinct across them."""
-    best = None
-    best_pat = None
-    for sigma in itertools.permutations(range(1, n + 1)):
-        J = I.apply_perm(sigma)
-        for K in (J, J.transpose()):
-            m = K.mask(n)
-            if best is None or m < best:
-                best = m
-                best_pat = K
-    return best_pat
+    transposition; constant on orbits and distinct across them.  Needs
+    n <= 8."""
+    return Pattern.from_mask(int(_orbit_images(I.mask(n), n).min()), n)
 
 
 def weak_canonical_form(I: Pattern, n: int) -> tuple[int, ...]:
     """Canonicalized multiplicity vector of unordered pairs: the class
-    invariant of flip equivalence combined with relabeling."""
-    I.check_within(n)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    best = None
-    for sigma in itertools.permutations(range(1, n + 1)):
-        J = I.apply_perm(sigma)
-        v = tuple(
-            (1 if (i, j) in J else 0) + (1 if (j, i) in J else 0)
-            for (i, j) in pairs
-        )
-        if best is None or v < best:
-            best = v
-    return best
+    invariant of flip equivalence combined with relabeling, taken as the
+    least vector over the orbit of I (transposition keeps multiplicities).
+    Needs n <= 8."""
+    code = _weak_code(_orbit_images(I.mask(n), n), n)
+    return tuple(code // 3**k % 3 for k in reversed(range(mu(n))))
 
 
 def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[ClassRecord]]:
@@ -238,27 +218,16 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
             f"full classification is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}"
         )
     log = (lambda msg: print(msg, file=sys.stderr)) if progress else (lambda msg: None)
-    log(f"enumerating {strict_count(n)} patterns for n={n}")
-    bits = _enumerate_bits(n)
-    log("canonicalizing orbits")
-    canon = _canonical_values(bits, n)
-    log("computing flip-equivalence keys")
-    weak = _weak_values(bits, n)
-
-    uniq, counts = np.unique(canon, return_counts=True)
-
-    # equivalence refines flip equivalence: the weak key is constant on orbits
-    order = np.argsort(canon, kind="stable")
-    c_sorted = canon[order]
-    w_sorted = weak[order]
-    same_block = c_sorted[1:] == c_sorted[:-1]
-    if not np.all(w_sorted[1:][same_block] == w_sorted[:-1][same_block]):
-        raise AssertionError("flip-equivalence key not constant on an orbit")
-
+    total = strict_count(n)
+    log(f"walking the orbits of {total} strict patterns for n={n}: "
+        "canonical form, orbit size and flip key, then pairing and stabilizer rank")
     records = []
+    weak_keys = set()
+    covered = 0
     tally = {STATUS_NONSINGULAR: 0, STATUS_DEFECTIVE: 0, STATUS_EXCEPTIONAL: 0}
-    for k, (val, cnt) in enumerate(zip(uniq, counts)):
-        rep = _pattern_from_cell_value(int(val), n)
+    for rep_mask, orbit in _class_walk(n):
+        weak_keys.add(_weak_code(orbit, n))
+        rep = Pattern.from_mask(rep_mask, n)
         pairing = pair_with_vandermonde(rep, n)
         sd = stabilizer_dim(rep, n)
         if pairing != 0:
@@ -272,22 +241,21 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         else:
             status = STATUS_EXCEPTIONAL
         tally[status] += 1
+        covered += orbit.size
         records.append(
             ClassRecord(
                 canonical=rep,
-                orbit_size=int(cnt),
+                orbit_size=int(orbit.size),
                 pairing=pairing,
                 stab_dim=sd,
                 complexity=rep.complexity(),
                 status=status,
             )
         )
-        if progress and (k + 1) % 100 == 0:
-            log(f"  classified {k + 1}/{len(uniq)} orbits")
+        if len(records) % 100 == 0:
+            log(f"  classified {len(records)} classes, {covered}/{total} patterns")
 
-    total = int(bits.shape[0])
-    assert total == strict_count(n)
-    assert sum(r.orbit_size for r in records) == total
+    assert covered == total
     census = ClassCensus(
         n=n,
         total_patterns=total,
@@ -295,7 +263,7 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         num_nonsingular=tally[STATUS_NONSINGULAR],
         num_defective=tally[STATUS_DEFECTIVE],
         num_exceptional=tally[STATUS_EXCEPTIONAL],
-        num_weak_classes=int(np.unique(weak).size),
+        num_weak_classes=len(weak_keys),
     )
     return census, records
 
@@ -305,8 +273,9 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
 
 def weak_classes_by_flip_bfs(n: int) -> dict[int, int]:
     """Partition of the strict size-mu(n) patterns by closure under flips and
-    adjacent relabelings, computed by exhaustive union-find.  Independent
-    cross-check of the multiplicity-vector encoding; budgeted for n <= 4."""
+    adjacent relabelings, computed by exhaustive union-find.  Test oracle:
+    an independent check of the multiplicity-vector encoding that the orbit
+    engine computes; budgeted for n <= 4."""
     if not 2 <= n <= 4:
         raise ValueError("exhaustive flip closure is budgeted for n <= 4")
     masks = []
@@ -421,17 +390,15 @@ def check_complexity_one(n: int) -> dict:
     keys = {weak_canonical_form(a, n), weak_canonical_form(b, n)}
     report["distinct_weak_classes"] = len(keys)
     if n <= MAX_ENUM_N:
-        bits = _enumerate_bits(n)
-        cells = offdiag_cells(n)
-        index = {c: k for k, c in enumerate(cells)}
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        nu = np.zeros(bits.shape[0], dtype=np.int64)
-        for (i, j) in pairs:
-            nu += (bits[:, index[(i, j)]] & bits[:, index[(j, i)]]).astype(np.int64)
-        sel = nu == 1
-        weak = _weak_values(bits[sel], n)
-        report["num_complexity_one_patterns"] = int(sel.sum())
-        report["num_weak_classes"] = int(np.unique(weak).size)
+        # complexity is a class invariant, so whole classes are in or out
+        count = 0
+        weak_keys = set()
+        for rep_mask, orbit in _class_walk(n):
+            if Pattern.from_mask(rep_mask, n).complexity() == 1:
+                count += orbit.size
+                weak_keys.add(_weak_code(orbit, n))
+        report["num_complexity_one_patterns"] = count
+        report["num_weak_classes"] = len(weak_keys)
     else:
         report["num_weak_classes"] = None
     report["passed"] = (
@@ -453,32 +420,36 @@ def verify_hessenberg(max_n: int = 7, min_n: int = 3) -> dict:
     ok = True
     for n in range(min_n, max_n + 1):
         for k in range(1, n):
-            got = pair_with_vandermonde(j_hessenberg_cached(k, n), n)
+            got = pair_with_vandermonde(j_hessenberg(k, n), n)
             expect = (-1) ** (n - 1) * math.comb(n, k) * math.comb(n - 2, k - 1)
             rows.append({"n": n, "k": k, "pairing": got, "expected": expect})
             ok = ok and got == expect
     return {"rows": rows, "passed": ok}
 
 
-def j_hessenberg_cached(k: int, n: int) -> Pattern:
-    from .patterns import j_hessenberg
-
-    return j_hessenberg(k, n)
-
-
 def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
     """Extremes of the pairing and of the squared norm over strict patterns of
     size mu(n).
 
-    Exhaustive for n <= 4; for larger n a seeded random sample is scanned.
-    Reports the maximum |pairing|, the minimum norm, the patterns attaining
-    them, and whether the extremes agree with the expected bound n! attained
-    exactly at the patterns whose difference product is the Vandermonde
-    expansion up to sign (the full simple patterns).
+    Exhaustive for n <= 4; for larger n a seeded random sample of distinct
+    patterns is scanned, which cannot exceed the strict_count(n) patterns
+    there are.  Reports the maximum |pairing|, the minimum norm, the patterns
+    attaining them, and whether the extremes agree with the expected bound n!
+    attained exactly at the patterns whose difference product is the
+    Vandermonde expansion up to sign (the full simple patterns).
+
+    Both values are class invariants (relabeling permutes the variables,
+    transposition multiplies chi by (-1)^mu), so they are computed once per
+    class met, keyed by canonical mask; n <= 8.
     """
     import math
     import random
 
+    if sample is not None and sample > strict_count(n):
+        raise ValueError(
+            f"cannot sample {sample} distinct patterns: n={n} has only "
+            f"{strict_count(n)} strict patterns of size mu(n)"
+        )
     nfact = math.factorial(n)
     max_pair = None
     min_norm = None
@@ -486,12 +457,15 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
     argmin: list[Pattern] = []
     counterexample = None
     scanned = 0
+    by_class: dict[int, tuple[int, int]] = {}
 
     def consider(I: Pattern):
         nonlocal max_pair, min_norm, argmax, argmin, counterexample, scanned
         scanned += 1
-        p = abs(pair_with_vandermonde(I, n))
-        q = norm_squared(I, n)
+        key = int(_orbit_images(I.mask(n), n).min())
+        if key not in by_class:
+            by_class[key] = (abs(pair_with_vandermonde(I, n)), norm_squared(I, n))
+        p, q = by_class[key]
         if p > nfact or q < nfact:
             counterexample = I
         if max_pair is None or p > max_pair:

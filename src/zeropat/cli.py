@@ -265,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="full census for one size")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--weak", action="store_true", help="text mode: print only the weak class count")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="reserved; the vectorized engine is single-process")
     common(sp)
     sp.set_defaults(fn=cmd_classify)
 

@@ -174,10 +174,6 @@ def is_permutation(perm: Sequence[int]) -> bool:
     return sorted(perm) == list(range(1, n + 1))
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
     p = list(range(1, n + 1))
     p[a - 1], p[b - 1] = p[b - 1], p[a - 1]

@@ -257,31 +257,15 @@ _SHIFT = 6
 _MASK = (1 << _SHIFT) - 1
 
 
-def pair_with_vandermonde(I: Pattern, n: int) -> int:
-    """Exact inner product of chi(I) with vandermonde(n).
+def _expand(I: Pattern, top: int) -> dict[int, int]:
+    """chi(I) with exponents packed _SHIFT bits per variable, keeping only the
+    monomials whose exponents all stay <= top; empty once none survive.
 
-    Multiplies the difference factors one at a time and drops every
-    intermediate monomial with an exponent >= n: such monomials pair to zero
-    against the Vandermonde expansion (whose exponents stay below n) and
-    exponents never decrease under further multiplication.  The cap is what
-    makes n = 7 and n = 8 tractable.
-
-    A pattern whose size differs from mu(n) pairs to zero by homogeneity.
+    Doubled pairs are multiplied in next to each other, which caps exponents
+    early.
     """
-    I.check_within(n)
-    positions = list(I)
-    for i, j in positions:
-        if i == j:
-            raise ValueError(f"diagonal position {(i, j)} in pattern")
-    if len(positions) != mu(n):
-        return 0
-    if n > (1 << _SHIFT) - 1:
-        raise ValueError("variable count too large for packed exponents")
-    # doubled pairs adjacent: their product caps exponents early
-    positions.sort(key=lambda p: (min(p), max(p), p[0]))
-    top = n - 1
     cur: dict[int, int] = {0: 1}
-    for i, j in positions:
+    for i, j in sorted(I, key=lambda p: (min(p), max(p), p[0])):
         si = _SHIFT * (i - 1)
         sj = _SHIFT * (j - 1)
         nxt: dict[int, int] = {}
@@ -295,10 +279,32 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
                 nxt[k2] = get(k2, 0) - c
         cur = {k: v for k, v in nxt.items() if v}
         if not cur:
-            return 0
+            break
+    return cur
+
+
+def pair_with_vandermonde(I: Pattern, n: int) -> int:
+    """Exact inner product of chi(I) with vandermonde(n).
+
+    Multiplies the difference factors one at a time and drops every
+    intermediate monomial with an exponent >= n: such monomials pair to zero
+    against the Vandermonde expansion (whose exponents stay below n) and
+    exponents never decrease under further multiplication.  The cap is what
+    makes n = 7 and n = 8 tractable.
+
+    A pattern whose size differs from mu(n) pairs to zero by homogeneity.
+    """
+    I.check_within(n)
+    for i, j in I:
+        if i == j:
+            raise ValueError(f"diagonal position {(i, j)} in pattern")
+    if len(I) != mu(n):
+        return 0
+    if n > _MASK:
+        raise ValueError("variable count too large for packed exponents")
     total = 0
     full = (1 << n) - 1
-    for key, c in cur.items():
+    for key, c in _expand(I, n - 1).items():
         exps = [(key >> (_SHIFT * t)) & _MASK for t in range(n)]
         seen = 0
         ok = True
@@ -326,19 +332,10 @@ def norm_squared(I: Pattern, n: int) -> int:
     for i, j in I:
         if i == j:
             raise ValueError(f"diagonal position {(i, j)} in pattern")
-    cur: dict[int, int] = {0: 1}
-    for i, j in sorted(I, key=lambda p: (min(p), max(p), p[0])):
-        si = _SHIFT * (i - 1)
-        sj = _SHIFT * (j - 1)
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, c in cur.items():
-            k2 = key + (1 << si)
-            nxt[k2] = get(k2, 0) + c
-            k2 = key + (1 << sj)
-            nxt[k2] = get(k2, 0) - c
-        cur = {k: v for k, v in nxt.items() if v}
-    return sum(c * c for c in cur.values())
+    # no exponent exceeds len(I), so under this cap nothing is dropped
+    if len(I) > _MASK:
+        raise ValueError("too many positions for packed exponents")
+    return sum(c * c for c in _expand(I, _MASK).values())
 
 
 def elementary(k: int, n: int) -> Poly:

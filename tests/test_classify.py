@@ -1,5 +1,8 @@
 """Census pipeline: enumeration, canonical forms, weak classes, audits."""
 
+import hashlib
+import itertools
+import json
 import math
 import random
 
@@ -23,13 +26,60 @@ from zeropat.classify import (
     weak_classes_by_flip_bfs,
 )
 from zeropat.patterns import Pattern, lam, mu, random_permutation
-from zeropat.polynomials import pair_with_vandermonde
+from zeropat.polynomials import norm_squared, pair_with_vandermonde
 from zeropat.verify import load_expected
+
+# sha256 of the compact, key-sorted JSON list of ClassRecord.to_json() in
+# census order; the benchmark's reference file records the same digests
+CENSUS_RECORDS_SHA256 = {
+    4: "e41d124944e2445cc2c3e4dd3a8c1eff2d84f1c46d063fd8422acf06dfceafc1",
+    5: "4355924840fb3ab90ad91140e0b15bd3fc6b9c6b2ef490e46f0df26e93ba2b70",
+}
 
 
 def rand_strict(rng, n):
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return Pattern(rng.sample(cells, mu(n)))
+
+
+@pytest.fixture(scope="module")
+def census5():
+    return classify_all(5)
+
+
+# -- oracles: per-pattern loops over the group, independent of the orbit engine
+
+
+def canonical_form_by_permutation_loop(I, n):
+    """Oracle for canonical_form: the pattern of least mask among all
+    relabelings of I and their transposes."""
+    best = None
+    best_pat = None
+    for sigma in itertools.permutations(range(1, n + 1)):
+        J = I.apply_perm(sigma)
+        for K in (J, J.transpose()):
+            m = K.mask(n)
+            if best is None or m < best:
+                best = m
+                best_pat = K
+    return best_pat
+
+
+def weak_canonical_form_by_permutation_loop(I, n):
+    """Oracle for weak_canonical_form: the least pair-multiplicity tuple
+    among all relabelings of I."""
+    I.check_within(n)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    best = None
+    for sigma in itertools.permutations(range(1, n + 1)):
+        J = I.apply_perm(sigma)
+        v = tuple(
+            (1 if (i, j) in J else 0) + (1 if (j, i) in J else 0)
+            for (i, j) in pairs
+        )
+        if best is None or v < best:
+            best = v
+    return best
 
 
 def test_enumeration_counts():
@@ -55,6 +105,29 @@ def test_canonical_form_constant_on_orbits():
         p = random_permutation(rng, 4)
         assert canonical_form(I.apply_perm(p), 4) == c
         assert canonical_form(I.transpose(), 4) == c
+
+
+def test_canonical_forms_match_the_permutation_loops():
+    rng = random.Random(2)
+    grid3 = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    cases = [
+        (Pattern(c for c, bit in zip(grid3, bits) if bit), 3)
+        for bits in itertools.product((0, 1), repeat=9)
+    ]
+    cases += [(I, 4) for I in enumerate_strict(4)]
+    cases += [(rand_strict(rng, 5), 5) for _ in range(200)]
+    # non-strict patterns of sizes up to the 64-bit mask limit
+    for n, k in ((4, 9), (5, 12), (6, 10), (7, 8), (8, 5)):
+        grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        cases.append((Pattern(rng.sample(grid, k - 1) + [(2, 2)]), n))
+    assert sum(not I.is_strict() for I, _ in cases) > 400
+    for I, n in cases:
+        assert canonical_form(I, n) == canonical_form_by_permutation_loop(I, n)
+        assert weak_canonical_form(I, n) == weak_canonical_form_by_permutation_loop(I, n)
+    with pytest.raises(ValueError):
+        canonical_form(Pattern([(1, 9)]), 9)
+    with pytest.raises(ValueError):
+        weak_canonical_form(Pattern([(1, 9)]), 9)
 
 
 def test_canonical_form_distinct_count_n3():
@@ -102,17 +175,28 @@ def test_census_class_invariants_n4():
         assert r.stab_dim >= 4
 
 
-def test_pairing_magnitude_constant_on_classes_n4():
-    census, records = classify_all(4)
+def test_census_records_are_pinned(census5):
+    for n, (_, records) in ((4, classify_all(4)), (5, census5)):
+        blob = json.dumps(
+            [r.to_json() for r in records], sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == CENSUS_RECORDS_SHA256[n]
+
+
+def test_pairing_magnitude_and_norm_constant_on_classes(census5):
+    # the extremal scan computes both once per class
     rng = random.Random(1)
-    for r in records[::5]:
-        v = abs(r.pairing)
-        for _ in range(5):
-            p = random_permutation(rng, 4)
-            J = r.canonical.apply_perm(p)
-            if rng.random() < 0.5:
-                J = J.transpose()
-            assert abs(pair_with_vandermonde(J, 4)) == v
+    for n, records, step in ((4, classify_all(4)[1], 5), (5, census5[1], 40)):
+        for r in records[::step]:
+            v = abs(r.pairing)
+            q = norm_squared(r.canonical, n)
+            for _ in range(5):
+                p = random_permutation(rng, n)
+                J = r.canonical.apply_perm(p)
+                if rng.random() < 0.5:
+                    J = J.transpose()
+                assert abs(pair_with_vandermonde(J, n)) == v
+                assert norm_squared(J, n) == q
 
 
 def test_nonsingularity_constant_on_weak_classes_n4():
@@ -176,6 +260,10 @@ def test_extremal_sampled():
     rep = scan_extremal(5, sample=500, seed=0)
     assert rep["passed"]
     assert rep["counterexample"] is None
+    # a sample of distinct patterns can take all of them, but no more
+    assert scan_extremal(3, sample=20)["scanned"] == 20
+    with pytest.raises(ValueError):
+        scan_extremal(3, sample=21)
 
 
 def test_search_extension():
