@@ -136,7 +136,6 @@ def cmd_verify(args) -> int:
         "max_n": args.max_n,
         "samples": args.samples,
         "seed": args.seed,
-        "points": args.samples,
         "sample5": args.sample5,
     }
     reports = []
@@ -177,6 +176,7 @@ def cmd_flags3(args) -> int:
                 "P2_ratio": ratios,
                 "cluster_residuals": [s.residual for s in res.solutions],
                 "converged": res.n_converged,
+                "incomplete": res.incomplete,
                 "generic": res.generic,
                 "z_orbit_closed": res.z_orbit_closed,
                 "p1_group_sizes": res.p1_group_sizes,
@@ -301,8 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -82,6 +82,38 @@ def weak_canonical_form_by_permutation_loop(I, n):
     return best
 
 
+def class_count_by_burnside(n):
+    """Oracle for the class totals: by Burnside's lemma, the average over the
+    2 n! relabelings and their transposes of the number of strict patterns
+    each one fixes, that is of size-mu(n) unions of its cycles on the
+    off-diagonal cells, counted by a knapsack over the cycle lengths."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    index = {c: k for k, c in enumerate(cells)}
+    fixed = 0
+    for sigma in itertools.permutations(range(n)):
+        for transpose in (False, True):
+            image = [
+                index[(sigma[j], sigma[i]) if transpose else (sigma[i], sigma[j])]
+                for (i, j) in cells
+            ]
+            seen = [False] * len(cells)
+            ways = [1] + [0] * mu(n)
+            for start in range(len(cells)):
+                if seen[start]:
+                    continue
+                length, k = 0, start
+                while not seen[k]:
+                    seen[k] = True
+                    k = image[k]
+                    length += 1
+                for size in range(mu(n), length - 1, -1):
+                    ways[size] += ways[size - length]
+            fixed += ways[mu(n)]
+    classes, rest = divmod(fixed, 2 * math.factorial(n))
+    assert rest == 0
+    return classes
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_strict(2)) == 2
     assert sum(1 for _ in enumerate_strict(3)) == 20
@@ -162,6 +194,13 @@ def test_census_small():
         for key, val in expected[str(n)].items():
             assert got[key] == val, (n, key)
         assert sum(r.orbit_size for r in records) == census.total_patterns
+
+
+def test_class_totals_match_burnside(census5):
+    for n in (2, 3, 4):
+        assert classify_all(n)[0].num_classes == class_count_by_burnside(n)
+    assert census5[0].num_classes == class_count_by_burnside(5) == 880
+    assert class_count_by_burnside(6) == 111_256
 
 
 def test_census_class_invariants_n4():

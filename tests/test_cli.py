@@ -125,6 +125,20 @@ def test_verify_unknown_suite_rejected(capsys):
         main(["verify", "nonesuch"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pair", "--family", "nope:3"], "unknown family 'nope'"),
+    (["verify", "extremal", "--max-n", "2", "--sample5", "200000"],
+     "cannot sample 200000 distinct patterns"),
+], ids=["unknown-family", "oversized-sample"])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zeropat: error: " + message in err
+    assert "Traceback" not in err
+
+
 def test_flags3_small(capsys):
     code, out = run_cli(
         capsys, "flags3", "--samples", "1", "--restarts", "300", "--seed", "7"
@@ -135,6 +149,7 @@ def test_flags3_small(capsys):
     assert s["N"] % 6 == 0
     assert len(s["P1"]) == s["N"]
     assert all(r <= 1e-18 for r in s["cluster_residuals"])
+    assert s["incomplete"] is False
 
 
 def test_flags3_deterministic(capsys):
