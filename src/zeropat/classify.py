@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .polynomials import (
     in_coinvariant_ideal,
     norm_squared,
     pair_with_vandermonde,
+    permutation_table,
 )
 from .stabdim import stabilizer_dim
 
@@ -121,8 +123,6 @@ def enumerate_strict(n: int):
 
 def strict_count(n: int) -> int:
     """Binomial count of strict patterns of size mu(n)."""
-    import math
-
     return math.comb(2 * mu(n), mu(n))
 
 
@@ -138,7 +138,7 @@ def _group_table(n: int) -> np.ndarray:
         raise ValueError(
             f"orbit masks are 64-bit: need 1 <= n <= {MAX_MASK_N}, got {n}"
         )
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms = permutation_table(n)[0].astype(np.intp)
     relabel = perms[:, :, None] * n + perms[:, None, :]
     table = np.concatenate([relabel, relabel.transpose(0, 2, 1)])
     table = table.reshape(-1, n * n)
@@ -371,8 +371,6 @@ def check_complexity_one(n: int) -> dict:
     """Complexity-1 patterns fall into two flip-equivalence classes; the class
     of case (a) has pairing of magnitude n!/2, the class of case (b) is
     singular and defective."""
-    import math
-
     if n < 4:
         raise ValueError("the two-class split needs n >= 4")
     a = complexity_one_case_a(n)
@@ -414,8 +412,6 @@ def check_complexity_one(n: int) -> dict:
 def verify_hessenberg(max_n: int = 7, min_n: int = 3) -> dict:
     """Pairings of the Hessenberg-band family against the closed form
     (-1)^(n-1) C(n,k) C(n-2,k-1) for all 1 <= k <= n-1."""
-    import math
-
     rows = []
     ok = True
     for n in range(min_n, max_n + 1):
@@ -442,7 +438,6 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
     transposition multiplies chi by (-1)^mu), so they are computed once per
     class met, keyed by canonical mask; n <= 8.
     """
-    import math
     import random
 
     if sample is not None and sample > strict_count(n):

@@ -138,13 +138,16 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "sample5": args.sample5,
     }
+    given = {k: v for k, v in opts.items() if v is not None}
     reports = []
     ok = True
     for name in names:
-        fn = SUITES[name]
-        accepted = inspect.signature(fn).parameters
-        kwargs = {k: v for k, v in opts.items() if k in accepted and v is not None}
-        rep = run_suite(name, **kwargs)
+        accepted = inspect.signature(SUITES[name]).parameters
+        ignored = [k for k in given if k not in accepted]
+        if ignored and args.suite != "all":
+            flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
+            raise ValueError(f"suite {name!r} does not take {flags}")
+        rep = run_suite(name, **{k: v for k, v in given.items() if k in accepted})
         reports.append(rep)
         ok = ok and bool(rep["passed"])
         print(f"{name}: {'pass' if rep['passed'] else 'FAIL'}", file=sys.stderr)
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--sample5", type=int, default=None,
                     help="extremal suite: sampled scan size for n=5")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

@@ -1,10 +1,11 @@
 """Exact sparse multivariate polynomials over the integers.
 
 Supplies the machinery behind the nonsingularity test for zero patterns:
-difference products of patterns, the Vandermonde expansion, the inner product
-that makes monomials orthonormal, symmetric functions, apolarity-style
-differential operators, and membership in the ideal generated by the
-nonconstant elementary symmetric functions.
+difference products of patterns, the Vandermonde expansion and the pairing
+with it (evaluated over a table of permutations, not expanded), the inner
+product that makes monomials orthonormal, symmetric functions,
+apolarity-style differential operators, and membership in the ideal
+generated by the nonconstant elementary symmetric functions.
 
 Polynomials are dicts from exponent tuples to big integers; they are treated
 as immutable values after construction.  Everything here is exact, there is
@@ -13,9 +14,12 @@ no floating point in this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
+
+import numpy as np
 
 from .patterns import Pattern, mu, perm_sign
 
@@ -183,6 +187,22 @@ class Poly:
 # -- core constructions --------------------------------------------------------
 
 
+@functools.cache
+def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(n), one per row in lexicographic order, and
+    their signs; cached and read-only.  Each size prefixes f to the rows p of
+    the last (shifted past f), with sign (-1)^f times the sign of p."""
+    perms, signs = np.zeros((1, 0), dtype=np.int8), np.ones(1, dtype=np.int8)
+    for m in range(1, n + 1):
+        perms = np.concatenate([
+            np.column_stack([np.full(len(perms), f, dtype=np.int8), perms + (perms >= f)])
+            for f in range(m)
+        ])
+        signs = np.concatenate([signs * (-1) ** f for f in range(m)])
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
+
+
 def vandermonde(n: int) -> Poly:
     """Expansion of the product of x_i - x_j over all i < j in n variables.
 
@@ -191,14 +211,10 @@ def vandermonde(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms: dict[tuple[int, ...], int] = {}
-    base = list(range(n - 1, -1, -1))
-    for sigma in itertools.permutations(range(n)):
-        e = [0] * n
-        for i in range(n):
-            e[sigma[i]] = base[i]
-        terms[tuple(e)] = perm_sign(tuple(s + 1 for s in sigma))
-    return Poly(n, terms)
+    perms, signs = permutation_table(n)
+    exps = np.empty_like(perms)
+    np.put_along_axis(exps, perms.astype(np.intp), np.arange(n - 1, -1, -1), axis=1)
+    return Poly(n, {tuple(map(int, e)): int(s) for e, s in zip(exps, signs)})
 
 
 def chi(I: Pattern, n: int) -> Poly:
@@ -212,11 +228,7 @@ def chi(I: Pattern, n: int) -> Poly:
     for i, j in I:
         if i == j:
             raise ValueError(f"diagonal position {(i, j)}: the product vanishes")
-        e1 = [0] * n
-        e1[i - 1] = 1
-        e2 = [0] * n
-        e2[j - 1] = 1
-        out = out * Poly(n, {tuple(e1): 1, tuple(e2): -1})
+        out = out * (Poly.variable(n, i) - Poly.variable(n, j))
     return out
 
 
@@ -232,110 +244,79 @@ def staircase_coefficient(exps: Sequence[int]) -> int:
     """Coefficient of the given monomial in vandermonde(n): the sign of the
     permutation when the exponents are a permutation of {0..n-1}, else 0."""
     n = len(exps)
-    seen = 0
-    for e in exps:
-        if e >= n:
-            return 0
-        b = 1 << e
-        if seen & b:
-            return 0
-        seen |= b
-    # position of each value, then sign of i -> position of value n-i
-    where = [0] * n
-    for t, e in enumerate(exps):
-        where[e] = t
-    seq = [where[n - 1 - i] for i in range(n)]
-    sign = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
+    if sorted(exps) != list(range(n)):
+        return 0
+    # x_t carries exponent n - sigma^-1(t) in sigma's term; inverses share signs
+    return perm_sign([n - e for e in exps])
 
 
-_SHIFT = 6
-_MASK = (1 << _SHIFT) - 1
-
-
-def _expand(I: Pattern, top: int) -> dict[int, int]:
-    """chi(I) with exponents packed _SHIFT bits per variable, keeping only the
-    monomials whose exponents all stay <= top; empty once none survive.
-
-    Doubled pairs are multiplied in next to each other, which caps exponents
-    early.
-    """
-    cur: dict[int, int] = {0: 1}
-    for i, j in sorted(I, key=lambda p: (min(p), max(p), p[0])):
-        si = _SHIFT * (i - 1)
-        sj = _SHIFT * (j - 1)
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, c in cur.items():
-            if (key >> si) & _MASK < top:
-                k2 = key + (1 << si)
-                nxt[k2] = get(k2, 0) + c
-            if (key >> sj) & _MASK < top:
-                k2 = key + (1 << sj)
-                nxt[k2] = get(k2, 0) - c
-        cur = {k: v for k, v in nxt.items() if v}
-        if not cur:
-            break
-    return cur
+#: the pairing sums over a table of all n! permutations, 10! rows at most
+MAX_PAIR_N = 10
+#: |pairing| <= sum of |coefficients of chi(I)| <= 2^mu(n), below half their
+#: product for n <= 11, so the residues determine the pairing
+_PRIMES = (2**31 - 1, 2**31 - 19)
 
 
 def pair_with_vandermonde(I: Pattern, n: int) -> int:
-    """Exact inner product of chi(I) with vandermonde(n).
+    """Exact inner product of chi(I) with vandermonde(n), for n <= MAX_PAIR_N.
 
-    Multiplies the difference factors one at a time and drops every
-    intermediate monomial with an exponent >= n: such monomials pair to zero
-    against the Vandermonde expansion (whose exponents stay below n) and
-    exponents never decrease under further multiplication.  The cap is what
-    makes n = 7 and n = 8 tractable.
+    Antisymmetrized, chi(I) becomes the pairing times vandermonde(n); both
+    evaluated at (0, 1, ..., n-1) give
 
-    A pattern whose size differs from mu(n) pairs to zero by homogeneity.
+        pairing = sum_sigma sgn(sigma) prod_{(i,j) in I} (sigma(i) - sigma(j))
+                  / prod_{i<j} (i - j),
+
+    summed over the permutation table modulo two primes and recombined by the
+    Chinese remainder theorem.  A pattern whose size differs from mu(n)
+    pairs to zero by homogeneity.
     """
     I.check_within(n)
     for i, j in I:
         if i == j:
             raise ValueError(f"diagonal position {(i, j)} in pattern")
+    if n > MAX_PAIR_N:
+        raise ValueError(f"pairings are evaluated for n <= {MAX_PAIR_N}, got {n}")
     if len(I) != mu(n):
         return 0
-    if n > _MASK:
-        raise ValueError("variable count too large for packed exponents")
-    total = 0
-    full = (1 << n) - 1
-    for key, c in _expand(I, n - 1).items():
-        exps = [(key >> (_SHIFT * t)) & _MASK for t in range(n)]
-        seen = 0
-        ok = True
-        for e in exps:
-            b = 1 << e
-            if seen & b:
-                ok = False
-                break
-            seen |= b
-        if ok and seen == full:
-            total += staircase_coefficient(exps) * c
-    return total
+    perms, signs = permutation_table(n)
+    primes = np.array(_PRIMES, dtype=np.int64)[:, None]
+    acc = np.ones((len(_PRIMES), len(signs)), dtype=np.int64)
+    for i, j in I:
+        acc = acc * (perms[:, i - 1] - perms[:, j - 1]) % primes
+    sums = (acc @ signs.astype(np.int64)).tolist()
+    scale = math.prod(i - j for i in range(n) for j in range(i + 1, n))
+    r1, r2 = (s * pow(scale, -1, p) % p for s, p in zip(sums, _PRIMES))
+    p1, p2 = _PRIMES
+    x = r1 + p1 * ((r2 - r1) * pow(p1, -1, p2) % p2)
+    return x if 2 * x < p1 * p2 else x - p1 * p2
 
 
 def pair_with_vandermonde_naive(I: Pattern, n: int) -> int:
-    """Uncapped reference path: full expansion, then the inner product."""
+    """Test oracle: full expansion of chi(I), then the inner product."""
     if len(I) != mu(n):
         return 0
     return inner(chi(I, n), vandermonde(n))
 
 
 def norm_squared(I: Pattern, n: int) -> int:
-    """Exact inner product of chi(I) with itself: sum of squared coefficients."""
+    """Exact inner product of chi(I) with itself: sum of squared coefficients.
+    The expansion packs exponents 6 bits per variable, so |I| <= 63."""
     I.check_within(n)
     for i, j in I:
         if i == j:
             raise ValueError(f"diagonal position {(i, j)} in pattern")
-    # no exponent exceeds len(I), so under this cap nothing is dropped
-    if len(I) > _MASK:
+    if len(I) > 63:
         raise ValueError("too many positions for packed exponents")
-    return sum(c * c for c in _expand(I, _MASK).values())
+    cur: dict[int, int] = {0: 1}
+    for i, j in I:
+        bi, bj = 1 << 6 * (i - 1), 1 << 6 * (j - 1)
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, c in cur.items():
+            nxt[key + bi] = get(key + bi, 0) + c
+            nxt[key + bj] = get(key + bj, 0) - c
+        cur = {k: v for k, v in nxt.items() if v}
+    return sum(c * c for c in cur.values())
 
 
 def elementary(k: int, n: int) -> Poly:

@@ -6,13 +6,15 @@ that subgroup equals the dimension of its Lie algebra
 
     {X skew-hermitian : [X, A] stays in the subspace for every A in it},
 
-which is the kernel of an integer linear system in the n^2 real parameters of
-a skew-hermitian matrix.  The kernel dimension is computed exactly by
-fraction-free integer elimination, so no rank tolerance enters the
-classification tables.
+the kernel of an integer linear system in which every equation pins one
+off-diagonal entry of X.  ``stabilizer_dim`` counts the entries left free, so
+no elimination and no rank tolerance enter the classification tables; the
+system and its exact and floating-point ranks remain as oracles.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .patterns import Pattern
 
@@ -20,7 +22,7 @@ from .patterns import Pattern
 def traceless_basis(I: Pattern, n: int) -> list[list[list[int]]]:
     """Integer matrices spanning (over the complex field) the traceless
     matrices vanishing on I: elementary matrices at the free off-diagonal
-    cells plus consecutive differences of the free diagonal cells."""
+    cells plus consecutive differences of the free diagonal cells (oracle)."""
     I.check_within(n)
     pos = set(I)
     mats = []
@@ -60,7 +62,7 @@ def constraint_rows(I: Pattern, n: int) -> list[tuple[int, ...]]:
 
     For each basis matrix A of the pattern subspace and each position (i, j)
     of I, the entry [X, A]_{ij} must vanish; its real and imaginary parts are
-    integer linear forms in the skew-hermitian parameters.
+    integer linear forms in the skew-hermitian parameters.  Test oracle.
     """
     idx, nparams = _param_index(n)
     rows: set[tuple[int, ...]] = set()
@@ -100,7 +102,8 @@ def constraint_rows(I: Pattern, n: int) -> list[tuple[int, ...]]:
 
 
 def integer_rank(rows, ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination; with
+    ``constraint_rows``, the test oracle for ``stabilizer_dim``."""
     m = [list(r) for r in rows]
     rank = 0
     prev = 1
@@ -134,11 +137,32 @@ def integer_rank(rows, ncols: int) -> int:
 
 
 def stabilizer_dim(I: Pattern, n: int) -> int:
-    """Real dimension of the stabilizer of the pattern subspace in U(n)."""
+    """Real dimension of the stabilizer of the pattern subspace in U(n).
+
+    The subspace is spanned by E_kl at free off-diagonal cells and E_aa - E_bb
+    at free diagonal cells.  At (i, j) in I, [X, E_kl]_{ij} is X_ik [j = l]
+    or -X_lj [i = k], never both, and [X, E_aa - E_bb]_{ij} is a multiple of
+    X_ij, nonzero when {i, j} meets {a, b}.  So each equation pins one
+    off-diagonal X_pq, and X_qp = -conj(X_pq) with it: when (p, j) is in I
+    and (q, j) is free for some j != q; when (i, q) is in I and (i, p) is
+    free for some i != p; or when (p, q) is in I and p or q is one of at
+    least two free diagonal cells.  The dimension is n plus 2 per pair
+    {p, q} with neither entry pinned.  For a strict I, whose diagonal is
+    free, those are the twin pairs: (p, q), (q, p) not in I, and rows and
+    columns p and q of I agree, so swapping p and q fixes I.  As
+    n^2 - 2 mu(n) = n, a strict maximal I is defective iff it has one.
+    """
     if not I.is_proper(n):
         raise ValueError("stabilizer dimension needs a proper pattern")
-    rows = constraint_rows(I, n)
-    return n * n - integer_rank(rows, n * n)
+    occupied = np.zeros((n, n), dtype=bool)
+    for i, j in I:
+        occupied[i - 1, j - 1] = True
+    free = ~occupied & ~np.eye(n, dtype=bool)
+    pinned = occupied @ free.T | free.T @ occupied
+    free_diag = ~occupied.diagonal()
+    if free_diag.sum() >= 2:
+        pinned |= occupied & (free_diag[:, None] | free_diag[None, :])
+    return int(np.count_nonzero(~(pinned | pinned.T)))
 
 
 def is_defective(I: Pattern, n: int) -> bool:
@@ -148,7 +172,7 @@ def is_defective(I: Pattern, n: int) -> bool:
 
 
 def float_system_rank(I: Pattern, n: int, tol: float = 1e-8) -> int:
-    """Floating-point rank of the same system, for cross-validation only."""
+    """Floating-point rank of the same system; the benchmark's oracle."""
     import numpy as np
 
     rows = constraint_rows(I, n)

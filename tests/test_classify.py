@@ -27,6 +27,7 @@ from zeropat.classify import (
 )
 from zeropat.patterns import Pattern, lam, mu, random_permutation
 from zeropat.polynomials import norm_squared, pair_with_vandermonde
+from zeropat.stabdim import constraint_rows, integer_rank
 from zeropat.verify import load_expected
 
 # sha256 of the compact, key-sorted JSON list of ClassRecord.to_json() in
@@ -212,6 +213,14 @@ def test_census_class_invariants_n4():
         if r.status == "exceptional":
             assert r.pairing == 0 and r.stab_dim <= 4
         assert r.stab_dim >= 4
+
+
+def test_census_stabilizer_dims_match_bareiss(census5):
+    for n in (2, 3, 4, 5):
+        records = census5[1] if n == 5 else classify_all(n)[1]
+        for r in records:
+            rank = integer_rank(constraint_rows(r.canonical, n), n * n)
+            assert r.stab_dim == n * n - rank, (n, r.canonical)
 
 
 def test_census_records_are_pinned(census5):

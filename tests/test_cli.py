@@ -127,9 +127,11 @@ def test_verify_unknown_suite_rejected(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["pair", "--family", "nope:3"], "unknown family 'nope'"),
-    (["verify", "extremal", "--max-n", "2", "--sample5", "200000"],
+    (["verify", "extremal", "--sample5", "200000"],
      "cannot sample 200000 distinct patterns"),
-], ids=["unknown-family", "oversized-sample"])
+    (["verify", "extremal", "--max-n", "2"],
+     "suite 'extremal' does not take --max-n"),
+], ids=["unknown-family", "oversized-sample", "option-the-suite-ignores"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -160,7 +162,7 @@ def test_flags3_deterministic(capsys):
 
 def test_verify_extremal_with_sample(capsys):
     code, out = run_cli(
-        capsys, "verify", "extremal", "--max-n", "3", "--sample5", "50"
+        capsys, "verify", "extremal", "--sample5", "50"
     )
     assert code == 0
     data = json.loads(out)

@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from zeropat.patterns import Pattern, j_family, mu, ne, random_permutation
+from zeropat.patterns import (
+    Pattern,
+    j_family,
+    lam,
+    mu,
+    ne,
+    perm_sign,
+    pi_family,
+    random_permutation,
+)
 from zeropat.polynomials import (
     Poly,
     chi,
@@ -20,11 +29,12 @@ from zeropat.polynomials import (
     norm_squared,
     pair_with_vandermonde,
     pair_with_vandermonde_naive,
+    permutation_table,
     shift,
     staircase_coefficient,
     vandermonde,
 )
-from zeropat.verify import random_strict
+from zeropat.verify import double_factorial, lambda_expected, random_strict
 
 
 def test_poly_ring_basics():
@@ -125,6 +135,21 @@ def test_pairing_matches_naive_random_n5():
         assert pair_with_vandermonde(I, 5) == pair_with_vandermonde_naive(I, 5)
 
 
+def test_permutation_table():
+    for n in range(7):
+        perms, signs = permutation_table(n)
+        assert perms.tolist() == [list(p) for p in itertools.permutations(range(n))]
+        assert signs.tolist() == [perm_sign([v + 1 for v in p]) for p in perms]
+        assert not perms.flags.writeable and not signs.flags.writeable
+
+
+def test_pairing_top_of_range():
+    assert pair_with_vandermonde(lam(9), 9) == lambda_expected(9) == 90720
+    assert pair_with_vandermonde(pi_family(9), 9) == double_factorial(9)
+    with pytest.raises(ValueError, match="n <= 10"):
+        pair_with_vandermonde(lam(11), 11)
+
+
 def test_pairing_degree_mismatch_is_zero():
     assert pair_with_vandermonde(Pattern([(1, 2)]), 3) == 0
     assert pair_with_vandermonde(Pattern(), 2) == 0
@@ -138,8 +163,6 @@ def test_pairing_rejects_diagonal():
 def test_pairing_sign_rules():
     rng = random.Random(2)
     n = 5
-    from zeropat.patterns import perm_sign
-
     for _ in range(25):
         I = random_strict(rng, n)
         v = pair_with_vandermonde(I, n)

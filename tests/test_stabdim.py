@@ -1,10 +1,18 @@
 """Exact stabilizer dimensions and the defectiveness predicate."""
 
+import itertools
 import random
 
 import pytest
 
-from zeropat.patterns import Pattern, delta, mu, ne, random_permutation
+from zeropat.patterns import (
+    Pattern,
+    delta,
+    mu,
+    ne,
+    random_permutation,
+    transposition,
+)
 from zeropat.stabdim import (
     constraint_rows,
     float_system_rank,
@@ -18,6 +26,38 @@ from zeropat.stabdim import (
 def rand_strict(rng, n):
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return Pattern(rng.sample(cells, mu(n)))
+
+
+def bareiss_dim(I, n):
+    """The stabilizer dimension from the kernel of the commutator system."""
+    return n * n - integer_rank(constraint_rows(I, n), n * n)
+
+
+def twin_pairs(I, n):
+    """Pairs {p, q} with neither (p, q) nor (q, p) in I whose swap fixes I."""
+    return [
+        (p, q)
+        for p, q in itertools.combinations(range(1, n + 1), 2)
+        if (p, q) not in I and (q, p) not in I
+        and I.apply_perm(transposition(n, p, q)) == I
+    ]
+
+
+def strict_with_twin(rng, n):
+    """A strict size-mu(n) pattern fixed by swapping two labels p and q and
+    avoiding (p, q) and (q, p): a union of cell orbits under the swap."""
+    p, q = rng.sample(range(1, n + 1), 2)
+    swap = transposition(n, p, q)
+    orbits = {
+        frozenset({(i, j), (swap[i - 1], swap[j - 1])})
+        for i in range(1, n + 1) for j in range(1, n + 1)
+        if i != j and {i, j} != {p, q}
+    }
+    cells = []
+    for orbit in rng.sample(sorted(orbits, key=sorted), len(orbits)):
+        if len(cells) + len(orbit) <= mu(n):
+            cells += orbit
+    return Pattern(cells)
 
 
 def test_basis_dimension():
@@ -89,3 +129,38 @@ def test_integer_rank_small_matrices():
         (3, 0, 5, 0),
     ]
     assert integer_rank(m, 4) == 4
+
+
+def test_count_matches_bareiss_on_every_small_pattern():
+    for n in (1, 2, 3):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for k in range(len(cells) + 1):
+            for combo in itertools.combinations(cells, k):
+                I = Pattern(combo)
+                if I.is_proper(n):
+                    assert stabilizer_dim(I, n) == bareiss_dim(I, n), I
+
+
+def test_count_matches_bareiss_on_nonstrict_patterns():
+    rng = random.Random(3)
+    for n in (4, 5, 6):
+        off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for t in range(50):
+            # every third draw leaves exactly one diagonal cell free
+            free = 1 if t % 3 == 0 else rng.randint(1, n)
+            diag = [(i, i) for i in rng.sample(range(1, n + 1), n - free)]
+            I = Pattern(diag + rng.sample(off, rng.randint(0, len(off))))
+            assert stabilizer_dim(I, n) == bareiss_dim(I, n), (n, I)
+
+
+def test_count_is_the_twin_count_on_strict_patterns():
+    rng = random.Random(4)
+    for n in (6, 7):
+        for t in range(100):
+            I = strict_with_twin(rng, n) if t % 2 else rand_strict(rng, n)
+            assert len(I) == mu(n) and I.is_strict()
+            d = stabilizer_dim(I, n)
+            assert d == bareiss_dim(I, n), (n, I)
+            assert d == n + 2 * len(twin_pairs(I, n)), (n, I)
+            if t % 2:
+                assert is_defective(I, n)
