@@ -161,16 +161,27 @@ def _orbit_images(mask: int, n: int) -> np.ndarray:
     return _cell_bits(mask, n)[table] @ powers
 
 
+@functools.cache
+def _weak_weights(n: int) -> np.ndarray:
+    """Weight of each cell in a weak code, flattened like ``_cell_bits``:
+    cells (i, j) and (j, i) both weigh the base-3 place of the pair {i < j},
+    the first pair in lexicographic order most significant; diagonal cells
+    weigh 0."""
+    weights = np.zeros((n, n), dtype=np.uint64)
+    weights[np.triu_indices(n, 1)] = np.uint64(3) ** np.arange(
+        mu(n) - 1, -1, -1, dtype=np.uint64
+    )
+    weights = (weights + weights.T).ravel()
+    weights.flags.writeable = False
+    return weights
+
+
 def _weak_code(masks, n: int) -> int:
     """Minimum pair-multiplicity code over masks.  A code lists the
     multiplicities (0, 1 or 2) of the unordered pairs {i < j} in
     lexicographic order as base-3 digits, most significant first, so codes
     order like those tuples; diagonal cells do not count."""
-    weights = np.zeros((n, n), dtype=np.uint64)
-    weights[np.triu_indices(n, 1)] = np.uint64(3) ** np.arange(
-        mu(n) - 1, -1, -1, dtype=np.uint64
-    )
-    return int((_cell_bits(masks, n) @ (weights + weights.T).ravel()).min())
+    return int((_cell_bits(masks, n) @ _weak_weights(n)).min())
 
 
 def _strict_masks(n: int) -> np.ndarray:

@@ -183,6 +183,8 @@ def cmd_flags3(args) -> int:
                 "generic": res.generic,
                 "z_orbit_closed": res.z_orbit_closed,
                 "p1_group_sizes": res.p1_group_sizes,
+                "last_new_cluster": res.last_new_cluster,
+                "gn_iterations": res.gn_iterations,
             }
         )
         if res.generic:

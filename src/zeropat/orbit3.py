@@ -421,6 +421,10 @@ def is_transversal_at(A, tol: float = 1e-8) -> bool:
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
 
+#: starts reduced together in one call of gauss_newton_reduce: a fixed block
+#: bounds the memory of the stacked arrays whatever the restart budget
+_BLOCK = 256
+
 
 @dataclass
 class FlagSolution:
@@ -434,7 +438,12 @@ class FlagSolution:
 
 @dataclass
 class FlagCensus:
-    """Outcome of a multi-restart flag count for one input matrix."""
+    """Outcome of a multi-restart flag count for one input matrix.
+
+    ``last_new_cluster`` is the index of the restart whose endpoint founded
+    the last cluster (None without clusters): far below ``n_restarts``, the
+    budget had room to spare.  ``gn_iterations[k]`` counts the restarts that
+    took k Gauss-Newton steps."""
 
     num_flags: int
     solutions: list[FlagSolution]
@@ -446,13 +455,23 @@ class FlagCensus:
     z_orbit_closed: bool
     p1_group_sizes: list[int] = field(default_factory=list)
     incomplete: bool = False
+    last_new_cluster: int | None = None
+    gn_iterations: list[int] = field(default_factory=list)
+
+
+def haar_unitaries(rng, count: int, n: int) -> np.ndarray:
+    """``count`` Haar-distributed n x n unitaries, shape (count, n, n): QR of
+    complex Gaussian matrices with the phases of R's diagonal moved into Q.
+    Draws the same numbers, in the same order, as ``count`` calls of
+    ``haar_unitary``."""
+    Z = rng.normal(size=(count, 2, n, n))
+    Q, R = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[:, None, :]
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
-    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return haar_unitaries(rng, 1, n)[0]
 
 
 def random_traceless(rng, n: int = 3) -> np.ndarray:
@@ -468,67 +487,110 @@ def random_cyclic_subspace(rng) -> np.ndarray:
     return A / np.linalg.norm(A)
 
 
-def _expm_skew(X: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(-1j * X)
-    return (V * np.exp(1j * w)) @ V.conj().T
+def _conjugates(A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U* A U for a stack of unitaries U."""
+    return U.conj().swapaxes(-1, -2) @ A @ U
 
 
-def _polar_unitary(U: np.ndarray) -> np.ndarray:
-    W, _, Vh = np.linalg.svd(U)
-    return W @ Vh
-
-
-def _pattern_residual(B: np.ndarray, pos0) -> np.ndarray:
-    vals = B[tuple(zip(*pos0))]
-    return np.concatenate([vals.real, vals.imag])
+def _residuals(B: np.ndarray, rows, cols) -> np.ndarray:
+    """Stacked real and imaginary parts of the pattern entries, one row per
+    matrix of the stack B."""
+    vals = B[:, rows, cols]
+    return np.concatenate([vals.real, vals.imag], axis=1)
 
 
 def gauss_newton_reduce(
     A: np.ndarray,
     U0: np.ndarray,
     positions,
-    basis,
     max_iter: int = 60,
     resid_tol: float = 1e-18,
-) -> FlagSolution:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Drive the pattern entries of U* A U to zero by Gauss-Newton steps in
-    the exponential chart of the unitary group, re-unitarizing at the end.
+    the exponential chart of the unitary group, from each start of the stack
+    U0 of shape (R, n, n), re-unitarizing at the end.
 
     The residual is the stacked real and imaginary parts of the constrained
-    entries; its squared norm is the quantity thresholded by resid_tol.
+    entries; its squared norm is the quantity thresholded by resid_tol.  A
+    step is the minimum-norm least-squares solution of the linearized
+    system in the coordinates of ``skew_hermitian_basis(n)``; it is halved
+    up to nine times until the residual strictly drops.  A start stops when
+    its residual is at most resid_tol, when no step length lowers it, or
+    after max_iter steps.  The starts share no state: each follows the path
+    it would follow alone.
+
+    Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
+    each, their squared residuals and the number of steps each start took.
     """
-    pos0 = [(i - 1, j - 1) for (i, j) in positions]
-    stack = np.stack(basis)
-    U = U0
-    B = U.conj().T @ A @ U
-    r = _pattern_residual(B, pos0)
-    r2 = float(r @ r)
+    n = A.shape[0]
+    rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
+    cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
+    basis = np.stack(skew_hermitian_basis(n))
+    basis_cols = basis[:, :, cols]
+    basis_rows = basis[:, rows, :]
+    U = np.array(U0, dtype=complex)
+    B = _conjugates(A, U)
+    r = _residuals(B, rows, cols)
+    r2 = np.einsum("ri,ri->r", r, r)
+    steps = np.zeros(len(U), dtype=np.intp)
+    live = np.ones(len(U), dtype=bool)
     for _ in range(max_iter):
-        if r2 <= resid_tol:
+        live &= r2 > resid_tol
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        comm = B[None, :, :] @ stack - stack @ B[None, :, :]
-        vals = comm[:, [p[0] for p in pos0], [p[1] for p in pos0]]
-        J = np.concatenate([vals.real, vals.imag], axis=1).T
-        s, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        X = np.tensordot(s, stack, axes=(0, 0))
-        improved = False
+        # d[B, S]_pq / dS_kl = B_pk [l = q] - [k = p] B_lq, contracted with
+        # each basis matrix S_b at the pattern positions (p, q)
+        Bi = B[idx]
+        Jc = np.einsum("rik,bki->rib", Bi[:, rows, :], basis_cols)
+        Jc -= np.einsum("bil,rli->rib", basis_rows, Bi[:, :, cols])
+        J = np.concatenate([Jc.real, Jc.imag], axis=1)
+        # minimum-norm solution, truncated where lstsq(rcond=None) truncates
+        W, sv, Vh = np.linalg.svd(J, full_matrices=False)
+        cut = np.finfo(float).eps * max(J.shape[1:]) * sv[:, :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cut)
+        coef = -np.einsum("rmb,rm->rb", Vh, inv * np.einsum("rim,ri->rm", W, r[idx]))
+        X = np.tensordot(coef, basis, axes=(1, 0))
+        # exp(t X) = V diag(e^{i t w}) V* from one eigh of the hermitian -iX
+        w, V = np.linalg.eigh(-1j * X)
+        searching = np.ones(idx.size, dtype=bool)
         step = 1.0
         for _ in range(10):
-            U2 = U @ _expm_skew(step * X)
-            B2 = U2.conj().T @ A @ U2
-            rr = _pattern_residual(B2, pos0)
-            rr2 = float(rr @ rr)
-            if rr2 < r2:
-                U, B, r, r2 = U2, B2, rr, rr2
-                improved = True
+            k = np.flatnonzero(searching)
+            Vk = V[k]
+            G = (Vk * np.exp(1j * (step * w[k]))[:, None, :]) @ Vk.conj().swapaxes(-1, -2)
+            U2 = U[idx[k]] @ G
+            B2 = _conjugates(A, U2)
+            rr = _residuals(B2, rows, cols)
+            rr2 = np.einsum("ri,ri->r", rr, rr)
+            better = rr2 < r2[idx[k]]
+            took = idx[k[better]]
+            U[took], B[took], r[took], r2[took] = (
+                U2[better], B2[better], rr[better], rr2[better]
+            )
+            searching[k[better]] = False
+            if not searching.any():
                 break
             step *= 0.5
-        if not improved:
-            break
-    U = _polar_unitary(U)
-    B = U.conj().T @ A @ U
-    r = _pattern_residual(B, pos0)
-    return FlagSolution(unitary=U, reduced=B, residual=float(r @ r))
+        steps[idx[~searching]] += 1
+        live[idx[searching]] = False
+    W, _, Vh = np.linalg.svd(U)
+    U = W @ Vh
+    B = _conjugates(A, U)
+    r = _residuals(B, rows, cols)
+    return U, B, np.einsum("ri,ri->r", r, r), steps
+
+
+def _reduce_blocks(A, rng, restarts: int, positions, max_iter: int, resid_tol: float):
+    """Run ``restarts`` Haar-random starts through gauss_newton_reduce in
+    blocks of _BLOCK, yielding (index of the block's first restart, reducer
+    output) per block.  The starts are drawn block by block, which gives the
+    same unitaries as drawing them all at once."""
+    for lo in range(0, restarts, _BLOCK):
+        starts = haar_unitaries(rng, min(_BLOCK, restarts - lo), A.shape[0])
+        yield lo, gauss_newton_reduce(
+            A, starts, positions, max_iter=max_iter, resid_tol=resid_tol
+        )
 
 
 def numeric_reduce(
@@ -542,8 +604,9 @@ def numeric_reduce(
 ) -> FlagSolution | None:
     """Search for a unitary putting A into the subspace of pattern I.
 
-    Success is evidence of orbit intersection; failure after the restart
-    budget is evidence of nothing.
+    Returns the first converged restart in restart order.  Success is
+    evidence of orbit intersection; failure after the restart budget is
+    evidence of nothing.
     """
     if n not in (2, 3, 4):
         raise ValueError("reducer is budgeted for n in {2, 3, 4}")
@@ -554,41 +617,74 @@ def numeric_reduce(
     s = float(np.linalg.norm(A))
     if s == 0.0:
         return FlagSolution(np.eye(n, dtype=complex), A.copy(), 0.0)
-    An = A / s
     rng = np.random.default_rng(seed)
-    basis = skew_hermitian_basis(n)
-    positions = list(I)
-    for _ in range(restarts):
-        sol = gauss_newton_reduce(
-            An, haar_unitary(rng, n), positions, basis,
-            max_iter=max_iter, resid_tol=resid_tol,
-        )
-        if sol.residual <= resid_tol:
-            B = sol.unitary.conj().T @ A @ sol.unitary
-            return FlagSolution(sol.unitary, B, sol.residual * s * s)
+    for _, (U, _, res, _) in _reduce_blocks(
+        A / s, rng, restarts, list(I), max_iter, resid_tol
+    ):
+        hit = np.flatnonzero(res <= resid_tol)
+        if hit.size:
+            U = U[hit[0]].copy()
+            return FlagSolution(U, U.conj().T @ A @ U, float(res[hit[0]]) * s * s)
     return None
+
+
+def _torus_invariants(B: np.ndarray):
+    """The diagonal, the moduli of the free entries (1,2), (2,3), (3,1) and
+    the unit phase of their cycle product, for a matrix or a stack of them.
+    The phase is nan where the product vanishes."""
+    diag = np.diagonal(B, axis1=-2, axis2=-1)
+    free = np.stack([B[..., 0, 1], B[..., 1, 2], B[..., 2, 0]], axis=-1)
+    cycle = free[..., 0] * free[..., 1] * free[..., 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phase = cycle / np.abs(cycle)
+    return diag, np.abs(free), phase
+
+
+def _torus_match(new, old, tol: float):
+    """Whether matrices with torus invariants ``new`` are conjugate to ones
+    with invariants ``old`` (broadcasting) by a diagonal unitary.  When a free
+    entry of ``new`` vanishes, the cycle phase is unconstrained."""
+    (d1, m1, p1), (d2, m2, p2) = new, old
+    return (
+        np.all(np.abs(d1 - d2) <= tol, axis=-1)
+        & np.all(np.abs(m1 - m2) <= tol, axis=-1)
+        & ((np.min(m1, axis=-1) <= tol) | (np.abs(p1 - p2) < 100 * tol))
+    )
 
 
 def torus_equivalent(B, C, tol: float = 1e-7) -> bool:
     """Whether two matrices in the cyclic pattern subspace are conjugate by a
     diagonal unitary: equal diagonals, equal moduli of the free entries, and
-    a matching phase of the cycle product when all three entries are nonzero.
+    a matching phase of the cycle product when all three entries of B are
+    nonzero.
     """
     B = np.asarray(B, dtype=complex)
     C = np.asarray(C, dtype=complex)
-    free = [(0, 1), (1, 2), (2, 0)]
-    for d in range(3):
-        if abs(B[d, d] - C[d, d]) > tol:
-            return False
-    for (i, j) in free:
-        if abs(abs(B[i, j]) - abs(C[i, j])) > tol:
-            return False
-    pb = B[0, 1] * B[1, 2] * B[2, 0]
-    pc = C[0, 1] * C[1, 2] * C[2, 0]
-    if min(abs(B[i, j]) for (i, j) in free) <= tol:
-        # some entry vanishes: the cycle phase is unconstrained
-        return True
-    return abs(pb / abs(pb) - pc / abs(pc)) < 100 * tol
+    return bool(_torus_match(_torus_invariants(B), _torus_invariants(C), tol))
+
+
+def _torus_clusters(B: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster label of each matrix of the stack B, in order of appearance.
+
+    The first matrix no cluster holds founds the next one, which takes every
+    unlabeled matrix ``torus_equivalent`` to it (tested with that matrix as
+    the first argument).  These are the clusters of a first-come scan that
+    puts each matrix into the first earlier cluster whose founder it matches.
+    """
+    inv = _torus_invariants(B)
+    labels = np.full(len(B), -1, dtype=np.intp)
+    unlabeled = np.arange(len(B))
+    k = 0
+    while unlabeled.size:
+        founder = unlabeled[0]
+        match = _torus_match(
+            tuple(x[unlabeled] for x in inv), tuple(x[founder] for x in inv), tol
+        )
+        match[0] = True
+        labels[unlabeled[match]] = k
+        unlabeled = unlabeled[~match]
+        k += 1
+    return labels
 
 
 def torus_equivalent_grid(B, C, steps: int = 600, tol: float = 1e-6) -> bool:
@@ -630,8 +726,11 @@ def count_flags(
     A is normalized to unit Frobenius norm first.  The count equals the
     number of flags reducing A into the subspace when every intersection
     point is transversal; samples with a cluster too close to the
-    non-transversal locus are marked non-generic.
+    non-transversal locus are marked non-generic.  The restarts run in
+    blocks of fixed size; the outputs do not depend on it.
     """
+    if restarts < 1:
+        raise ValueError("count_flags needs at least one restart")
     A = np.asarray(A, dtype=complex)
     A = A - np.trace(A) / 3 * np.eye(3)
     s = float(np.linalg.norm(A))
@@ -639,26 +738,22 @@ def count_flags(
         raise ValueError("zero matrix")
     A = A / s
     rng = np.random.default_rng(seed)
-    basis = skew_hermitian_basis(3)
-    positions = list(CYCLIC_PATTERN)
-    reps: list[FlagSolution] = []
-    hits: list[int] = []
-    n_converged = 0
-    for _ in range(restarts):
-        sol = gauss_newton_reduce(
-            A, haar_unitary(rng, 3), positions, basis,
-            max_iter=max_iter, resid_tol=resid_tol,
-        )
-        if sol.residual > resid_tol:
-            continue
-        n_converged += 1
-        for k, rep in enumerate(reps):
-            if torus_equivalent(sol.reduced, rep.reduced, tol=cluster_tol):
-                hits[k] += 1
-                break
-        else:
-            reps.append(sol)
-            hits.append(1)
+    ends, converged, steps = [], [], []
+    for lo, (U, B, res, taken) in _reduce_blocks(
+        A, rng, restarts, list(CYCLIC_PATTERN), max_iter, resid_tol
+    ):
+        ok = np.flatnonzero(res <= resid_tol)
+        ends.append((U[ok], B[ok], res[ok]))
+        converged.append(lo + ok)
+        steps.append(taken)
+    U, B, res = (np.concatenate(part) for part in zip(*ends))
+    converged = np.concatenate(converged)
+    labels = _torus_clusters(B, cluster_tol)
+    first = np.unique(labels, return_index=True)[1]
+    # copies, so a census does not keep every endpoint of the run alive
+    reps = [FlagSolution(U[k].copy(), B[k].copy(), float(res[k])) for k in first]
+    hits = np.bincount(labels).tolist()
+    n_converged = int(converged.size)
     p1s = [float(poly_P1(r.reduced)) for r in reps]
     z = CYCLE_MATRIX
     z_closed = True
@@ -688,6 +783,8 @@ def count_flags(
         z_orbit_closed=z_closed,
         p1_group_sizes=sorted(groups.values(), reverse=True),
         incomplete=incomplete,
+        last_new_cluster=int(converged[first[-1]]) if reps else None,
+        gn_iterations=np.bincount(np.concatenate(steps)).tolist(),
     )
 
 

@@ -152,6 +152,8 @@ def test_flags3_small(capsys):
     assert len(s["P1"]) == s["N"]
     assert all(r <= 1e-18 for r in s["cluster_residuals"])
     assert s["incomplete"] is False
+    assert 0 <= s["last_new_cluster"] < 300
+    assert sum(s["gn_iterations"]) == 300
 
 
 def test_flags3_deterministic(capsys):

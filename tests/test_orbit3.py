@@ -4,6 +4,7 @@ and the reducing-flag machinery for the cyclic pattern."""
 import numpy as np
 import pytest
 
+from zeropat import orbit3
 from zeropat.classify import EXCEPTIONAL_4
 from zeropat.orbit3 import (
     CYCLE_MATRIX,
@@ -12,7 +13,10 @@ from zeropat.orbit3 import (
     GAMMA2_MATRIX,
     SURFACE_PAIR_A,
     SURFACE_PAIR_B,
+    FlagCensus,
+    FlagSolution,
     count_flags,
+    haar_unitaries,
     haar_unitary,
     invariants,
     numeric_reduce,
@@ -20,6 +24,7 @@ from zeropat.orbit3 import (
     poly_P2_ratio,
     random_cyclic_subspace,
     random_traceless,
+    skew_hermitian_basis,
     torus_equivalent,
     torus_equivalent_grid,
     _p_expanded,
@@ -201,3 +206,246 @@ def test_surface_pair_genericity_report():
         assert rep[key]["all_clusters_transversal"]
         # unit-norm rescaling of the reference value 45 at norm sqrt(5)
         assert abs(rep[key]["min_abs_p1"] - 45 / 5**3) < 1e-6
+
+
+# -- oracle: one restart at a time, clustered by a greedy loop over the clusters
+
+
+def _expm_skew(X):
+    w, V = np.linalg.eigh(-1j * X)
+    return (V * np.exp(1j * w)) @ V.conj().T
+
+
+def _pattern_residual(B, pos0):
+    vals = B[tuple(zip(*pos0))]
+    return np.concatenate([vals.real, vals.imag])
+
+
+def gauss_newton_one_start(A, U0, positions, max_iter=60, resid_tol=1e-18):
+    """Oracle for gauss_newton_reduce on one start: the commutator Jacobian
+    built from the whole basis stack, ``lstsq`` for the step, and a fresh
+    ``eigh`` per step length.  Returns (solution, steps taken)."""
+    pos0 = [(i - 1, j - 1) for (i, j) in positions]
+    stack = np.stack(skew_hermitian_basis(A.shape[0]))
+    U = U0
+    B = U.conj().T @ A @ U
+    r = _pattern_residual(B, pos0)
+    r2 = float(r @ r)
+    taken = 0
+    for _ in range(max_iter):
+        if r2 <= resid_tol:
+            break
+        comm = B[None, :, :] @ stack - stack @ B[None, :, :]
+        vals = comm[:, [p[0] for p in pos0], [p[1] for p in pos0]]
+        J = np.concatenate([vals.real, vals.imag], axis=1).T
+        s, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        X = np.tensordot(s, stack, axes=(0, 0))
+        improved = False
+        step = 1.0
+        for _ in range(10):
+            U2 = U @ _expm_skew(step * X)
+            B2 = U2.conj().T @ A @ U2
+            rr = _pattern_residual(B2, pos0)
+            rr2 = float(rr @ rr)
+            if rr2 < r2:
+                U, B, r, r2 = U2, B2, rr, rr2
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        taken += 1
+    W, _, Vh = np.linalg.svd(U)
+    U = W @ Vh
+    B = U.conj().T @ A @ U
+    r = _pattern_residual(B, pos0)
+    return FlagSolution(unitary=U, reduced=B, residual=float(r @ r)), taken
+
+
+def torus_equivalent_scalar(B, C, tol=1e-7):
+    """Oracle for torus_equivalent: the test written out entry by entry."""
+    free = [(0, 1), (1, 2), (2, 0)]
+    for d in range(3):
+        if abs(B[d, d] - C[d, d]) > tol:
+            return False
+    for (i, j) in free:
+        if abs(abs(B[i, j]) - abs(C[i, j])) > tol:
+            return False
+    if min(abs(B[i, j]) for (i, j) in free) <= tol:
+        return True
+    pb = B[0, 1] * B[1, 2] * B[2, 0]
+    pc = C[0, 1] * C[1, 2] * C[2, 0]
+    return abs(pb / abs(pb) - pc / abs(pc)) < 100 * tol
+
+
+def greedy_clusters(mats, tol=1e-7):
+    """Oracle for the clustering in count_flags: each matrix joins the first
+    earlier cluster whose founder it matches, else founds a new one."""
+    founders, labels = [], []
+    for M in mats:
+        for k, F in enumerate(founders):
+            if torus_equivalent_scalar(M, F, tol):
+                labels.append(k)
+                break
+        else:
+            labels.append(len(founders))
+            founders.append(M)
+    return labels
+
+
+def count_flags_by_restart_loop(
+    A, restarts=2000, seed=0, max_iter=60, resid_tol=1e-18, cluster_tol=1e-7,
+    genericity_band=1e-6,
+):
+    """Oracle for count_flags: a Python loop over the restarts, each drawn by
+    ``haar_unitary`` and reduced alone, clustered by the greedy loop."""
+    A = np.asarray(A, dtype=complex)
+    A = A - np.trace(A) / 3 * np.eye(3)
+    A = A / np.linalg.norm(A)
+    rng = np.random.default_rng(seed)
+    reps, hits, steps = [], [], []
+    n_converged = 0
+    last_new = None
+    for t in range(restarts):
+        sol, taken = gauss_newton_one_start(
+            A, haar_unitary(rng, 3), list(CYCLIC_PATTERN), max_iter, resid_tol
+        )
+        steps.append(taken)
+        if sol.residual > resid_tol:
+            continue
+        n_converged += 1
+        for k, rep in enumerate(reps):
+            if torus_equivalent_scalar(sol.reduced, rep.reduced, cluster_tol):
+                hits[k] += 1
+                break
+        else:
+            reps.append(sol)
+            hits.append(1)
+            last_new = t
+    p1s = [float(poly_P1(r.reduced)) for r in reps]
+    z_closed = True
+    for rep in reps:
+        img = CYCLE_MATRIX @ rep.reduced @ CYCLE_MATRIX.T
+        for k, other in enumerate(reps):
+            if torus_equivalent_scalar(img, other.reduced, cluster_tol):
+                if abs(p1s[k] - poly_P1(rep.reduced)) > 1e-6:
+                    z_closed = False
+                break
+        else:
+            z_closed = False
+    groups = {}
+    for p in p1s:
+        key = round(p / max(cluster_tol, 1e-9))
+        groups[key] = groups.get(key, 0) + 1
+    return FlagCensus(
+        num_flags=len(reps),
+        solutions=reps,
+        cluster_hits=hits,
+        cluster_p1=p1s,
+        n_restarts=restarts,
+        n_converged=n_converged,
+        generic=bool(reps) and min(abs(p) for p in p1s) >= genericity_band,
+        z_orbit_closed=z_closed,
+        p1_group_sizes=sorted(groups.values(), reverse=True),
+        incomplete=n_converged < max(10, restarts // 200),
+        last_new_cluster=last_new,
+        gn_iterations=np.bincount(steps).tolist(),
+    )
+
+
+def flags3_panel(k):
+    """Matrix k of the panel the flags3 benchmark conjugates: the k-th draw
+    of ``random_traceless`` from seed 0.  Matrix 2 is slow: about a quarter
+    of its restarts converge."""
+    rng = np.random.default_rng(0)
+    for _ in range(k):
+        random_traceless(rng)
+    return random_traceless(rng)
+
+
+def assert_same_census(got, want, rep_tol, same_steps=True):
+    for name in (
+        "num_flags", "cluster_hits", "n_restarts", "n_converged", "generic",
+        "z_orbit_closed", "p1_group_sizes", "incomplete", "last_new_cluster",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+    assert sum(got.gn_iterations) == got.n_restarts
+    if same_steps:
+        assert got.gn_iterations == want.gn_iterations
+    for a, b in zip(got.solutions, want.solutions):
+        assert np.max(np.abs(a.reduced - b.reduced)) <= rep_tol
+        assert np.max(np.abs(a.unitary - b.unitary)) <= rep_tol
+        assert a.residual <= 1e-18 and b.residual <= 1e-18
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_count_flags_matches_the_restart_loop(k):
+    A = flags3_panel(k)
+    got = count_flags(A, restarts=300, seed=k)
+    want = count_flags_by_restart_loop(A, restarts=300, seed=k)
+    slow = k == 2
+    # a restart that stalls takes a number of steps that rounding can change
+    assert_same_census(got, want, 1e-9, same_steps=not slow)
+    assert got.n_converged < 150 if slow else got.n_converged > 290
+
+
+def test_haar_unitaries_match_a_loop_of_haar_unitary():
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(n)
+        loop = [haar_unitary(rng, n) for _ in range(40)]
+        batch = haar_unitaries(np.random.default_rng(n), 40, n)
+        assert np.array_equal(batch, np.stack(loop))
+
+
+def test_torus_clusters_match_the_greedy_loop():
+    rng = np.random.default_rng(21)
+    founders = [random_cyclic_subspace(rng) for _ in range(4)]
+    # two founders with a vanishing free entry, one exactly and one below tol
+    founders[2][0, 1] = 0
+    founders[3][2, 0] = 3e-8
+    mats = []
+    for _ in range(80):
+        j = rng.integers(len(founders))
+        t = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=3)))
+        M = np.linalg.inv(t) @ founders[j] @ t
+        if rng.random() < 0.3:
+            M = M + 4e-8 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        elif j == 3 and rng.random() < 0.5:
+            # within tol of the modulus 3e-8 but above tol itself: only a
+            # matrix whose own entry vanishes may skip the phase test
+            M[2, 0] = 1.2e-7 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        mats.append(M)
+    mats = np.stack(mats)
+    labels = orbit3._torus_clusters(mats, 1e-7)
+    assert labels.tolist() == greedy_clusters(mats)
+    assert 4 <= labels.max() + 1 < len(mats)
+    for B in mats[:20]:
+        for C in mats[:20]:
+            assert torus_equivalent(B, C) == torus_equivalent_scalar(B, C)
+
+
+def test_count_flags_does_not_depend_on_the_block_size(monkeypatch):
+    A = flags3_panel(1)
+    want = count_flags(A, restarts=300, seed=4)
+    for block in (37, 300):
+        monkeypatch.setattr(orbit3, "_BLOCK", block)
+        assert_same_census(count_flags(A, restarts=300, seed=4), want, 0.0)
+
+
+@pytest.mark.parametrize("case", ["triangular", "exceptional"])
+def test_numeric_reduce_matches_the_restart_loop(case):
+    rng = np.random.default_rng(30)
+    if case == "triangular":
+        n, I = 3, ne(3)
+    else:
+        n, I = 4, EXCEPTIONAL_4[2]
+    A = random_traceless(rng, n)
+    sol = numeric_reduce(A, I, n, restarts=100, seed=5)
+    starts = np.random.default_rng(5)
+    for _ in range(100):
+        want, _ = gauss_newton_one_start(
+            A, haar_unitary(starts, n), list(I), max_iter=80
+        )
+        if want.residual <= 1e-18:
+            break
+    assert np.max(np.abs(sol.unitary - want.unitary)) <= 1e-9
