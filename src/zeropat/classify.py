@@ -20,8 +20,11 @@ orbit size.  Output is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
+import importlib.resources
 import itertools
+import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 
@@ -45,19 +48,16 @@ STATUS_NONSINGULAR = "nonsingular"
 STATUS_DEFECTIVE = "defective"
 STATUS_EXCEPTIONAL = "exceptional"
 
+
+def load_expected() -> dict:
+    """The packaged expected constants (census counts, exceptional classes,
+    family class counts); code keeps no copy of them."""
+    ref = importlib.resources.files("zeropat").joinpath("data/expected.json")
+    return json.loads(ref.read_text())
+
+
 # Canonical representatives of the seven exceptional classes for n = 4.
-EXCEPTIONAL_4 = tuple(
-    Pattern(p)
-    for p in [
-        [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)],
-        [(1, 2), (2, 1), (1, 3), (1, 4), (2, 4), (3, 2)],
-        [(1, 2), (1, 3), (1, 4), (2, 1), (3, 4), (4, 3)],
-        [(1, 2), (2, 1), (1, 3), (3, 1), (2, 4), (4, 3)],
-        [(1, 2), (2, 1), (1, 3), (2, 3), (4, 1), (4, 2)],
-        [(1, 2), (2, 1), (1, 4), (2, 3), (3, 1), (4, 2)],
-        [(1, 2), (2, 1), (1, 4), (3, 1), (3, 4), (4, 3)],
-    ]
-)
+EXCEPTIONAL_4 = tuple(Pattern.from_json(p) for p in load_expected()["exceptional_n4"])
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,13 @@ def offdiag_cells(n: int) -> list[tuple[int, int]]:
 
 
 def enumerate_strict(n: int):
-    """Yield every strict pattern of size mu(n) in the n x n grid exactly once."""
+    """Every strict pattern of size mu(n) in the n x n grid, once each, in
+    increasing mask order: a view over ``_strict_masks``."""
     if not 2 <= n <= MAX_ENUM_N:
         raise ValueError(
             f"full enumeration is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}"
         )
-    cells = offdiag_cells(n)
-    for combo in itertools.combinations(range(len(cells)), mu(n)):
-        yield Pattern(cells[k] for k in combo)
+    return (Pattern.from_mask(int(m), n) for m in _strict_masks(n))
 
 
 def strict_count(n: int) -> int:
@@ -434,96 +433,84 @@ def verify_hessenberg(max_n: int = 7, min_n: int = 3) -> dict:
     return {"rows": rows, "passed": ok}
 
 
-def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
-    """Extremes of the pairing and of the squared norm over strict patterns of
-    size mu(n).
-
-    Exhaustive for n <= 4; for larger n a seeded random sample of distinct
-    patterns is scanned, which cannot exceed the strict_count(n) patterns
-    there are.  Reports the maximum |pairing|, the minimum norm, the patterns
-    attaining them, and whether the extremes agree with the expected bound n!
-    attained exactly at the patterns whose difference product is the
-    Vandermonde expansion up to sign (the full simple patterns).
-
-    Both values are class invariants (relabeling permutes the variables,
-    transposition multiplies chi by (-1)^mu), so they are computed once per
-    class met, keyed by canonical mask; n <= 8.
-    """
-    import random
-
-    if sample is not None and sample > strict_count(n):
+def _sampled_classes(n: int, sample: int, seed: int) -> list[tuple[int, int]]:
+    """(canonical mask, number of draws) of each class met by ``sample``
+    distinct strict patterns drawn with random.Random(seed), in order of
+    first meeting."""
+    if sample > strict_count(n):
         raise ValueError(
             f"cannot sample {sample} distinct patterns: n={n} has only "
             f"{strict_count(n)} strict patterns of size mu(n)"
         )
-    nfact = math.factorial(n)
-    max_pair = None
-    min_norm = None
-    argmax: list[Pattern] = []
-    argmin: list[Pattern] = []
-    counterexample = None
-    scanned = 0
-    by_class: dict[int, tuple[int, int]] = {}
+    rng = random.Random(seed)
+    bits = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
+    seen = set()
+    draws: dict[int, int] = {}
+    while len(seen) < sample:
+        mask = sum(1 << bits[k] for k in rng.sample(range(len(bits)), mu(n)))
+        if mask not in seen:
+            seen.add(mask)
+            key = int(_orbit_images(mask, n).min())
+            draws[key] = draws.get(key, 0) + 1
+    return list(draws.items())
 
-    def consider(I: Pattern):
-        nonlocal max_pair, min_norm, argmax, argmin, counterexample, scanned
-        scanned += 1
-        key = int(_orbit_images(I.mask(n), n).min())
-        if key not in by_class:
-            by_class[key] = (abs(pair_with_vandermonde(I, n)), norm_squared(I, n))
-        p, q = by_class[key]
-        if p > nfact or q < nfact:
-            counterexample = I
-        if max_pair is None or p > max_pair:
-            max_pair, argmax = p, [I]
-        elif p == max_pair:
-            argmax.append(I)
-        if min_norm is None or q < min_norm:
-            min_norm, argmin = q, [I]
-        elif q == min_norm:
-            argmin.append(I)
 
-    if sample is None:
-        for I in enumerate_strict(n):
-            consider(I)
+def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
+    """Extremes of the pairing and of the squared norm over strict patterns of
+    size mu(n).
+
+    Exhaustive for n <= MAX_ENUM_N, over the census walk; otherwise a seeded
+    random sample of distinct patterns is scanned, which cannot exceed the
+    strict_count(n) patterns there are.  Reports the maximum |pairing|, the
+    minimum norm, how many patterns attain them, and whether the extremes
+    agree with the expected bound n! attained exactly at the patterns whose
+    difference product is the Vandermonde expansion up to sign (the full
+    simple patterns).
+
+    |pairing|, the norm and simplicity are class invariants (relabeling
+    permutes the variables, transposition multiplies chi by (-1)^mu), so both
+    modes scan classes, each weighted by the patterns it stands for: its
+    orbit size, or its number of draws; n <= 8.
+    """
+    if sample is not None:
+        classes = _sampled_classes(n, sample, seed)
+    elif 2 <= n <= MAX_ENUM_N:
+        classes = [(rep, int(orbit.size)) for rep, orbit in _class_walk(n)]
     else:
-        rng = random.Random(seed)
-        cells = offdiag_cells(n)
-        seen = set()
-        while len(seen) < sample:
-            combo = frozenset(rng.sample(range(len(cells)), mu(n)))
-            if combo in seen:
-                continue
-            seen.add(combo)
-            consider(Pattern(cells[k] for k in combo))
-
-    extremes_simple = all(I.is_simple() for I in argmax) and all(
-        I.is_simple() for I in argmin
+        raise ValueError(
+            f"an exhaustive scan is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}; "
+            "pass a sample"
+        )
+    nfact = math.factorial(n)
+    groups = []
+    for mask, weight in classes:
+        I = Pattern.from_mask(mask, n)
+        groups.append((I, weight, abs(pair_with_vandermonde(I, n)), norm_squared(I, n)))
+    max_pair = max((p for _, _, p, _ in groups), default=None)
+    min_norm = min((q for _, _, _, q in groups), default=None)
+    argmax = [(I, w) for I, w, p, _ in groups if p == max_pair]
+    argmin = [(I, w) for I, w, _, q in groups if q == min_norm]
+    counterexample = next(
+        (I for I, _, p, q in groups if p > nfact or q < nfact), None
     )
-    report = {
+    extremes_simple = all(I.is_simple() for I, _ in argmax + argmin)
+    num_argmax = sum(w for _, w in argmax)
+    num_argmin = sum(w for _, w in argmin)
+    # exhaustively, the attaining sets must be exactly the full simple patterns
+    bound_attained = sample is not None or (
+        max_pair == min_norm == nfact and num_argmax == num_argmin == 2 ** mu(n)
+    )
+    return {
         "n": n,
-        "scanned": scanned,
+        "scanned": sum(w for _, w, _, _ in groups),
         "max_abs_pairing": max_pair,
         "min_norm": min_norm,
-        "num_argmax": len(argmax),
-        "num_argmin": len(argmin),
+        "num_argmax": num_argmax,
+        "num_argmin": num_argmin,
         "counterexample": counterexample.to_json() if counterexample else None,
         "extremes_attained_only_at_signed_vandermonde": extremes_simple,
+        "passed": counterexample is None and extremes_simple and bound_attained,
     }
-    if sample is None:
-        # exhaustively, the attaining sets must be exactly the full simple patterns
-        expected = 2 ** mu(n)
-        report["passed"] = (
-            counterexample is None
-            and max_pair == nfact
-            and min_norm == nfact
-            and len(argmax) == expected
-            and len(argmin) == expected
-            and extremes_simple
-        )
-    else:
-        report["passed"] = counterexample is None and extremes_simple
-    return report
 
 
 def search_nonsingular_extension(I: Pattern, n: int) -> Pattern:

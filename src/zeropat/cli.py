@@ -25,11 +25,11 @@ import sys
 
 import numpy as np
 
-from .classify import classify_all
+from .classify import classify_all, load_expected
 from .patterns import Pattern, parse_family
 from .polynomials import pair_with_vandermonde
 from .stabdim import is_defective, stabilizer_dim
-from .verify import SUITES, load_expected, run_suite
+from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -56,12 +56,10 @@ def _as_text(obj) -> str:
 
 
 def _as_csv(obj) -> str:
-    records = obj.get("classes") if isinstance(obj, dict) else None
-    if not records:
-        raise SystemExit("csv format is only available for classify output")
+    """The class records of ``classify`` output, one row each."""
     cols = ["canonical", "orbit_size", "pairing", "stab_dim", "complexity", "status"]
     lines = [",".join(cols)]
-    for r in records:
+    for r in obj["classes"]:
         vals = [json.dumps(r["canonical"], separators=(",", ":"))]
         vals += [str(r[c]) for c in cols[1:]]
         lines.append(",".join(f'"{v}"' if "," in v else v for v in vals))
@@ -76,10 +74,10 @@ def _resolve_pattern(args) -> tuple[Pattern, int]:
         return I, n
     if getattr(args, "pattern", None):
         if args.n is None:
-            raise SystemExit("--pattern needs --n")
+            raise ValueError("--pattern needs --n")
         I = Pattern.from_json(json.loads(args.pattern))
         return I, args.n
-    raise SystemExit("need --pattern or --family")
+    raise ValueError("need --pattern or --family")
 
 
 def cmd_pair(args) -> int:
@@ -102,6 +100,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.weak and args.format != "text":
+        raise ValueError("--weak needs --format text")
     census, records = classify_all(args.n, progress=args.n >= 5)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -116,7 +116,7 @@ def cmd_classify(args) -> int:
             if got.get(key) != val:
                 mismatches[key] = {"expected": val, "computed": got.get(key)}
     payload["expected_mismatches"] = mismatches
-    if args.weak and args.format == "text":
+    if args.weak:
         print(census.num_weak_classes)
         return 0 if not mismatches else 1
     _emit(payload, args)
@@ -136,7 +136,6 @@ def cmd_verify(args) -> int:
         "max_n": args.max_n,
         "samples": args.samples,
         "seed": args.seed,
-        "sample5": args.sample5,
     }
     given = {k: v for k, v in opts.items() if v is not None}
     reports = []
@@ -254,11 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_default="json"):
+    def common(sp, fmt_default="json", formats=("json", "text")):
         sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument(
-            "--format", choices=["json", "csv", "text"], default=fmt_default
-        )
+        sp.add_argument("--format", choices=formats, default=fmt_default)
 
     sp = sub.add_parser("pair", help="pairing of a pattern with the Vandermonde expansion")
     sp.add_argument("--n", type=int, default=None)
@@ -270,15 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="full census for one size")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--weak", action="store_true", help="text mode: print only the weak class count")
-    common(sp)
+    common(sp, formats=("json", "csv", "text"))
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--max-n", dest="max_n", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--sample5", type=int, default=None,
-                    help="extremal suite: sampled scan size for n=5")
     sp.add_argument("--seed", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_verify)

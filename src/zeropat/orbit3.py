@@ -352,36 +352,6 @@ def poly_P2_ratio(A, rel_threshold: float = 1e-8) -> float:
 # -- transversality ---------------------------------------------------------------
 
 
-def _l3_coords(M) -> np.ndarray:
-    """Real coordinates of a traceless 3 x 3 matrix: re/im of the eight
-    entries other than the last diagonal one."""
-    M = np.asarray(M, dtype=complex)
-    ent = [
-        M[0, 0], M[0, 1], M[0, 2],
-        M[1, 0], M[1, 1], M[1, 2],
-        M[2, 0], M[2, 1],
-    ]
-    out = np.empty(16)
-    out[0::2] = [e.real for e in ent]
-    out[1::2] = [e.imag for e in ent]
-    return out
-
-
-def cyclic_subspace_basis() -> list[np.ndarray]:
-    """Ten real basis matrices of the cyclic pattern subspace."""
-    basis = []
-    def add(M):
-        basis.append(np.asarray(M, dtype=complex))
-    E = np.zeros((3, 3), dtype=complex)
-    for (i, j) in [(1, 2), (2, 3), (3, 1)]:
-        M = E.copy(); M[i - 1, j - 1] = 1; add(M)
-        M = E.copy(); M[i - 1, j - 1] = 1j; add(M)
-    for d in (0, 1):
-        M = E.copy(); M[d, d] = 1; M[2, 2] = -1; add(M)
-        M = E.copy(); M[d, d] = 1j; M[2, 2] = -1j; add(M)
-    return basis
-
-
 def skew_hermitian_basis(n: int) -> list[np.ndarray]:
     """Real basis of the skew-hermitian n x n matrices, n^2 elements."""
     mats = []
@@ -404,19 +374,30 @@ def skew_hermitian_basis(n: int) -> list[np.ndarray]:
 
 def is_transversal_at(A, tol: float = 1e-8) -> bool:
     """Whether the conjugation orbit through A meets the cyclic pattern
-    subspace transversally at A: the subspace plus the commutators with a
-    skew-hermitian basis must span all sixteen real dimensions."""
+    subspace transversally at A.  The subspace is cut out of the traceless
+    matrices by the three pattern entries, so it does exactly when the
+    commutators with skew-hermitian matrices reach every value of those
+    entries: when the 6 x 9 pattern Jacobian at A has rank 6."""
     A = np.asarray(A, dtype=complex)
     _cyclic_entries(A)
     s = float(np.linalg.norm(A))
     if s == 0.0:
         return False
-    B = A / s
-    cols = [_l3_coords(M) for M in cyclic_subspace_basis()]
-    for X in skew_hermitian_basis(3):
-        cols.append(_l3_coords(B @ X - X @ B))
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    return bool(sv[15] > tol)
+    rows, cols = np.array(list(CYCLIC_PATTERN), dtype=np.intp).T - 1
+    basis = np.stack(skew_hermitian_basis(3))
+    J = _pattern_jacobian((A / s)[None], rows, cols, basis)[0]
+    return bool(np.linalg.svd(J, compute_uv=False)[-1] > tol)
+
+
+def _pattern_jacobian(B: np.ndarray, rows, cols, basis: np.ndarray) -> np.ndarray:
+    """Jacobian of the real and imaginary parts of the pattern entries of
+    exp(-S) B exp(S) at S = 0, for each matrix of the stack B, in the
+    coordinates of the skew-hermitian basis: shape (R, 2k, n^2)."""
+    # d[B, S]_pq / dS_kl = B_pk [l = q] - [k = p] B_lq, contracted with
+    # each basis matrix S_b at the pattern positions (p, q)
+    Jc = np.einsum("rik,bki->rib", B[:, rows, :], basis[:, :, cols])
+    Jc -= np.einsum("bil,rli->rib", basis[:, rows, :], B[:, :, cols])
+    return np.concatenate([Jc.real, Jc.imag], axis=1)
 
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
@@ -526,8 +507,6 @@ def gauss_newton_reduce(
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
     cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
     basis = np.stack(skew_hermitian_basis(n))
-    basis_cols = basis[:, :, cols]
-    basis_rows = basis[:, rows, :]
     U = np.array(U0, dtype=complex)
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
@@ -539,12 +518,7 @@ def gauss_newton_reduce(
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        # d[B, S]_pq / dS_kl = B_pk [l = q] - [k = p] B_lq, contracted with
-        # each basis matrix S_b at the pattern positions (p, q)
-        Bi = B[idx]
-        Jc = np.einsum("rik,bki->rib", Bi[:, rows, :], basis_cols)
-        Jc -= np.einsum("bil,rli->rib", basis_rows, Bi[:, :, cols])
-        J = np.concatenate([Jc.real, Jc.imag], axis=1)
+        J = _pattern_jacobian(B[idx], rows, cols, basis)
         # minimum-norm solution, truncated where lstsq(rcond=None) truncates
         W, sv, Vh = np.linalg.svd(J, full_matrices=False)
         cut = np.finfo(float).eps * max(J.shape[1:]) * sv[:, :1]

@@ -173,8 +173,6 @@ def is_defective(I: Pattern, n: int) -> bool:
 
 def float_system_rank(I: Pattern, n: int, tol: float = 1e-8) -> int:
     """Floating-point rank of the same system; the benchmark's oracle."""
-    import numpy as np
-
     rows = constraint_rows(I, n)
     if not rows:
         return 0

@@ -8,8 +8,6 @@ packaged data file, not in code.
 
 from __future__ import annotations
 
-import importlib.resources
-import json
 import math
 import random
 
@@ -17,8 +15,10 @@ import numpy as np
 
 from . import orbit3
 from .classify import (
+    MAX_ENUM_N,
     audit_exceptional4,
     check_complexity_one,
+    load_expected,  # noqa: F401  (read here by the benchmark and the tests)
     scan_extremal,
     verify_hessenberg,
 )
@@ -43,11 +43,6 @@ from .polynomials import (
     pair_with_vandermonde,
     vandermonde,
 )
-
-
-def load_expected() -> dict:
-    ref = importlib.resources.files("zeropat").joinpath("data/expected.json")
-    return json.loads(ref.read_text())
 
 
 def double_factorial(n: int) -> int:
@@ -259,10 +254,8 @@ def suite_complexity1(ns=(4, 5)) -> dict:
     }
 
 
-def suite_extremal(max_exhaustive: int = 4, sample5: int = 0, seed: int = 0) -> dict:
-    reports = [scan_extremal(n) for n in range(2, max_exhaustive + 1)]
-    if sample5:
-        reports.append(scan_extremal(5, sample=sample5, seed=seed))
+def suite_extremal() -> dict:
+    reports = [scan_extremal(n) for n in range(2, MAX_ENUM_N + 1)]
     return {
         "reports": reports,
         "passed": all(r["passed"] for r in reports),

@@ -115,6 +115,46 @@ def class_count_by_burnside(n):
     return classes
 
 
+def scan_extremal_by_pattern_loop(n):
+    """Oracle for the exhaustive scan_extremal: every strict pattern of size
+    mu(n) in turn, from its own combination of cells, with |pairing| and norm
+    computed on the pattern itself and the extremes kept as running lists."""
+    nfact = math.factorial(n)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    max_pair = min_norm = counterexample = None
+    argmax, argmin = [], []
+    scanned = 0
+    for combo in itertools.combinations(cells, mu(n)):
+        I = Pattern(combo)
+        scanned += 1
+        p, q = abs(pair_with_vandermonde(I, n)), norm_squared(I, n)
+        if p > nfact or q < nfact:
+            counterexample = I
+        if max_pair is None or p > max_pair:
+            max_pair, argmax = p, [I]
+        elif p == max_pair:
+            argmax.append(I)
+        if min_norm is None or q < min_norm:
+            min_norm, argmin = q, [I]
+        elif q == min_norm:
+            argmin.append(I)
+    simple = all(I.is_simple() for I in argmax + argmin)
+    return {
+        "n": n,
+        "scanned": scanned,
+        "max_abs_pairing": max_pair,
+        "min_norm": min_norm,
+        "num_argmax": len(argmax),
+        "num_argmin": len(argmin),
+        "counterexample": counterexample.to_json() if counterexample else None,
+        "extremes_attained_only_at_signed_vandermonde": simple,
+        "passed": counterexample is None
+        and max_pair == min_norm == nfact
+        and len(argmax) == len(argmin) == 2 ** mu(n)
+        and simple,
+    }
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_strict(2)) == 2
     assert sum(1 for _ in enumerate_strict(3)) == 20
@@ -302,6 +342,14 @@ def test_extremal_exhaustive_small():
         assert rep["max_abs_pairing"] == math.factorial(n)
         assert rep["min_norm"] == math.factorial(n)
         assert rep["num_argmax"] == 2 ** mu(n)
+
+
+def test_extremal_scan_matches_the_pattern_loop():
+    for n in (2, 3, 4):
+        assert scan_extremal(n) == scan_extremal_by_pattern_loop(n)
+    # beyond the census walk only a sample is scanned
+    with pytest.raises(ValueError):
+        scan_extremal(6)
 
 
 def test_extremal_sampled():

@@ -127,11 +127,15 @@ def test_verify_unknown_suite_rejected(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["pair", "--family", "nope:3"], "unknown family 'nope'"),
-    (["verify", "extremal", "--sample5", "200000"],
-     "cannot sample 200000 distinct patterns"),
+    (["verify", "extremal", "--sample5", "50"],
+     "unrecognized arguments: --sample5 50"),
     (["verify", "extremal", "--max-n", "2"],
      "suite 'extremal' does not take --max-n"),
-], ids=["unknown-family", "oversized-sample", "option-the-suite-ignores"])
+    (["pair", "--pattern", "[[1,2]]"], "--pattern needs --n"),
+    (["stabdim", "--n", "3"], "need --pattern or --family"),
+    (["classify", "--n", "2", "--weak"], "--weak needs --format text"),
+], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
+        "pattern-without-n", "no-pattern", "weak-without-text"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -162,13 +166,27 @@ def test_flags3_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_extremal_with_sample(capsys):
-    code, out = run_cli(
-        capsys, "verify", "extremal", "--sample5", "50"
-    )
+def test_verify_extremal_is_exhaustive_through_n5(capsys):
+    code, out = run_cli(capsys, "verify", "extremal")
     assert code == 0
-    data = json.loads(out)
-    assert data["reports"][0]["passed"]
+    reports = json.loads(out)["reports"][0]["reports"]
+    assert [r["n"] for r in reports] == [2, 3, 4, 5]
+    assert all(r["passed"] for r in reports)
+    assert reports[-1]["scanned"] == 184_756
+
+
+def test_csv_is_only_offered_by_classify(capsys):
+    for argv in (
+        ["pair", "--family", "pi:3"],
+        ["verify", "pi-family"],
+        ["flags3", "--samples", "1"],
+        ["stabdim", "--family", "ne:3"],
+        ["invariants", "--matrix", "zero"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
