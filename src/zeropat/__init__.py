@@ -15,7 +15,6 @@ from .patterns import (
     j_hessenberg,
     lam,
     lam_prime,
-    make_family,
     mu,
     ne,
     nw,
@@ -71,7 +70,6 @@ __all__ = [
     "j_hessenberg",
     "lam",
     "lam_prime",
-    "make_family",
     "mu",
     "ne",
     "norm_squared",

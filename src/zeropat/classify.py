@@ -26,7 +26,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,14 +72,10 @@ class ClassRecord:
     status: str
 
     def to_json(self) -> dict:
-        return {
-            "canonical": self.canonical.to_json(),
-            "orbit_size": self.orbit_size,
-            "pairing": self.pairing,
-            "stab_dim": self.stab_dim,
-            "complexity": self.complexity,
-            "status": self.status,
-        }
+        """The record keyed by field name, in field order."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["canonical"] = self.canonical.to_json()
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,15 +91,7 @@ class ClassCensus:
     num_weak_classes: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "total_patterns": self.total_patterns,
-            "num_classes": self.num_classes,
-            "num_nonsingular": self.num_nonsingular,
-            "num_defective": self.num_defective,
-            "num_exceptional": self.num_exceptional,
-            "num_weak_classes": self.num_weak_classes,
-        }
+        return asdict(self)
 
 
 def offdiag_cells(n: int) -> list[tuple[int, int]]:
@@ -419,12 +407,12 @@ def check_complexity_one(n: int) -> dict:
     return report
 
 
-def verify_hessenberg(max_n: int = 7, min_n: int = 3) -> dict:
+def verify_hessenberg(max_n: int = 7) -> dict:
     """Pairings of the Hessenberg-band family against the closed form
-    (-1)^(n-1) C(n,k) C(n-2,k-1) for all 1 <= k <= n-1."""
+    (-1)^(n-1) C(n,k) C(n-2,k-1) for all 3 <= n <= max_n, 1 <= k <= n-1."""
     rows = []
     ok = True
-    for n in range(min_n, max_n + 1):
+    for n in range(3, max_n + 1):
         for k in range(1, n):
             got = pair_with_vandermonde(j_hessenberg(k, n), n)
             expect = (-1) ** (n - 1) * math.comb(n, k) * math.comb(n - 2, k - 1)

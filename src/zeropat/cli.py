@@ -22,10 +22,11 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .classify import classify_all, load_expected
+from .classify import ClassRecord, classify_all, load_expected
 from .patterns import Pattern, parse_family
 from .polynomials import pair_with_vandermonde
 from .stabdim import is_defective, stabilizer_dim
@@ -57,7 +58,7 @@ def _as_text(obj) -> str:
 
 def _as_csv(obj) -> str:
     """The class records of ``classify`` output, one row each."""
-    cols = ["canonical", "orbit_size", "pairing", "stab_dim", "complexity", "status"]
+    cols = [f.name for f in fields(ClassRecord)]
     lines = [",".join(cols)]
     for r in obj["classes"]:
         vals = [json.dumps(r["canonical"], separators=(",", ":"))]

@@ -289,20 +289,20 @@ def poly_P(X) -> float:
     return poly_p_from_invariants(invariants(X / s)) * s**24
 
 
-def _cyclic_entries(A, tol: float = 1e-9):
+def _cyclic_entries(A):
     """Split a pattern-subspace matrix into its five free entries u, v, w, x,
     y, z; reject matrices outside the subspace."""
     A = np.asarray(A, dtype=complex)
     if A.shape != (3, 3):
         raise ValueError("expected a 3 x 3 matrix")
-    scale = max(float(np.linalg.norm(A)), 1.0)
+    tol = 1e-9 * max(float(np.linalg.norm(A)), 1.0)
     for (i, j) in CYCLIC_PATTERN:
-        if abs(A[i - 1, j - 1]) > tol * scale:
+        if abs(A[i - 1, j - 1]) > tol:
             raise ValueError(
                 f"entry {(i, j)} = {A[i - 1, j - 1]} is not zero: "
                 "matrix lies outside the cyclic pattern subspace"
             )
-    if abs(np.trace(A)) > tol * scale:
+    if abs(np.trace(A)) > tol:
         raise ValueError("matrix is not traceless")
     u, z = A[0, 0], A[0, 1]
     v, x = A[1, 1], A[1, 2]
@@ -333,16 +333,16 @@ def poly_P1(A) -> float:
     return val * s**6
 
 
-def poly_P2_ratio(A, rel_threshold: float = 1e-8) -> float:
+def poly_P2_ratio(A) -> float:
     """The degree-12 cofactor extracted as P / P1^2.
 
-    Refuses when P1 is too small relative to scale: near its zero locus the
-    ratio is ill conditioned.
+    Refuses when |P1| is below 1e-8 relative to scale: near its zero locus
+    the ratio is ill conditioned.
     """
     A = np.asarray(A, dtype=complex)
     s = float(np.linalg.norm(A))
     p1 = poly_P1(A)
-    if abs(p1) < rel_threshold * s**6:
+    if abs(p1) < 1e-8 * s**6:
         raise ValueError(
             "P1 is below the conditioning threshold; ratio extraction refused"
         )
@@ -352,41 +352,39 @@ def poly_P2_ratio(A, rel_threshold: float = 1e-8) -> float:
 # -- transversality ---------------------------------------------------------------
 
 
-def skew_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real basis of the skew-hermitian n x n matrices, n^2 elements."""
-    mats = []
+@functools.cache
+def skew_hermitian_basis(n: int) -> np.ndarray:
+    """Real basis of the skew-hermitian n x n matrices, stacked: shape
+    (n^2, n, n), read-only.  The diagonal units i E_kk come first, then for
+    each k < l the pair E_kl - E_lk, i (E_kl + E_lk)."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
     for k in range(n):
-        M = np.zeros((n, n), dtype=complex)
-        M[k, k] = 1j
-        mats.append(M)
+        basis[k, k, k] = 1j
+    b = n
     for k in range(n):
         for l in range(k + 1, n):
-            M = np.zeros((n, n), dtype=complex)
-            M[k, l] = 1
-            M[l, k] = -1
-            mats.append(M)
-            M = np.zeros((n, n), dtype=complex)
-            M[k, l] = 1j
-            M[l, k] = 1j
-            mats.append(M)
-    return mats
+            basis[b, k, l], basis[b, l, k] = 1, -1
+            basis[b + 1, k, l] = basis[b + 1, l, k] = 1j
+            b += 2
+    basis.setflags(write=False)
+    return basis
 
 
-def is_transversal_at(A, tol: float = 1e-8) -> bool:
+def is_transversal_at(A) -> bool:
     """Whether the conjugation orbit through A meets the cyclic pattern
     subspace transversally at A.  The subspace is cut out of the traceless
     matrices by the three pattern entries, so it does exactly when the
     commutators with skew-hermitian matrices reach every value of those
-    entries: when the 6 x 9 pattern Jacobian at A has rank 6."""
+    entries: when the 6 x 9 pattern Jacobian at A, normalized to unit norm,
+    has its smallest singular value above 1e-8."""
     A = np.asarray(A, dtype=complex)
     _cyclic_entries(A)
     s = float(np.linalg.norm(A))
     if s == 0.0:
         return False
     rows, cols = np.array(list(CYCLIC_PATTERN), dtype=np.intp).T - 1
-    basis = np.stack(skew_hermitian_basis(3))
-    J = _pattern_jacobian((A / s)[None], rows, cols, basis)[0]
-    return bool(np.linalg.svd(J, compute_uv=False)[-1] > tol)
+    J = _pattern_jacobian((A / s)[None], rows, cols, skew_hermitian_basis(3))[0]
+    return bool(np.linalg.svd(J, compute_uv=False)[-1] > 1e-8)
 
 
 def _pattern_jacobian(B: np.ndarray, rows, cols, basis: np.ndarray) -> np.ndarray:
@@ -405,6 +403,12 @@ def _pattern_jacobian(B: np.ndarray, rows, cols, basis: np.ndarray) -> np.ndarra
 #: starts reduced together in one call of gauss_newton_reduce: a fixed block
 #: bounds the memory of the stacked arrays whatever the restart budget
 _BLOCK = 256
+
+#: squared pattern residual at or below which a reduction has converged
+RESID_TOL = 1e-18
+
+#: tolerance on unit-norm matrices of the diagonal-torus conjugacy test
+TORUS_TOL = 1e-7
 
 
 @dataclass
@@ -484,19 +488,18 @@ def gauss_newton_reduce(
     A: np.ndarray,
     U0: np.ndarray,
     positions,
-    max_iter: int = 60,
-    resid_tol: float = 1e-18,
+    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Drive the pattern entries of U* A U to zero by Gauss-Newton steps in
     the exponential chart of the unitary group, from each start of the stack
     U0 of shape (R, n, n), re-unitarizing at the end.
 
     The residual is the stacked real and imaginary parts of the constrained
-    entries; its squared norm is the quantity thresholded by resid_tol.  A
+    entries; its squared norm is the quantity thresholded by RESID_TOL.  A
     step is the minimum-norm least-squares solution of the linearized
     system in the coordinates of ``skew_hermitian_basis(n)``; it is halved
     up to nine times until the residual strictly drops.  A start stops when
-    its residual is at most resid_tol, when no step length lowers it, or
+    its residual is at most RESID_TOL, when no step length lowers it, or
     after max_iter steps.  The starts share no state: each follows the path
     it would follow alone.
 
@@ -506,7 +509,7 @@ def gauss_newton_reduce(
     n = A.shape[0]
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
     cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
-    basis = np.stack(skew_hermitian_basis(n))
+    basis = skew_hermitian_basis(n)
     U = np.array(U0, dtype=complex)
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
@@ -514,7 +517,7 @@ def gauss_newton_reduce(
     steps = np.zeros(len(U), dtype=np.intp)
     live = np.ones(len(U), dtype=bool)
     for _ in range(max_iter):
-        live &= r2 > resid_tol
+        live &= r2 > RESID_TOL
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
@@ -555,16 +558,14 @@ def gauss_newton_reduce(
     return U, B, np.einsum("ri,ri->r", r, r), steps
 
 
-def _reduce_blocks(A, rng, restarts: int, positions, max_iter: int, resid_tol: float):
+def _reduce_blocks(A, rng, restarts: int, positions, max_iter: int):
     """Run ``restarts`` Haar-random starts through gauss_newton_reduce in
     blocks of _BLOCK, yielding (index of the block's first restart, reducer
     output) per block.  The starts are drawn block by block, which gives the
     same unitaries as drawing them all at once."""
     for lo in range(0, restarts, _BLOCK):
         starts = haar_unitaries(rng, min(_BLOCK, restarts - lo), A.shape[0])
-        yield lo, gauss_newton_reduce(
-            A, starts, positions, max_iter=max_iter, resid_tol=resid_tol
-        )
+        yield lo, gauss_newton_reduce(A, starts, positions, max_iter)
 
 
 def numeric_reduce(
@@ -573,11 +574,11 @@ def numeric_reduce(
     n: int,
     restarts: int = 200,
     seed: int = 0,
-    max_iter: int = 80,
-    resid_tol: float = 1e-18,
 ) -> FlagSolution | None:
     """Search for a unitary putting A into the subspace of pattern I.
 
+    Each restart takes up to 80 Gauss-Newton steps on A normalized to unit
+    norm and has converged when its squared residual is at most RESID_TOL.
     Returns the first converged restart in restart order.  Success is
     evidence of orbit intersection; failure after the restart budget is
     evidence of nothing.
@@ -592,10 +593,8 @@ def numeric_reduce(
     if s == 0.0:
         return FlagSolution(np.eye(n, dtype=complex), A.copy(), 0.0)
     rng = np.random.default_rng(seed)
-    for _, (U, _, res, _) in _reduce_blocks(
-        A / s, rng, restarts, list(I), max_iter, resid_tol
-    ):
-        hit = np.flatnonzero(res <= resid_tol)
+    for _, (U, _, res, _) in _reduce_blocks(A / s, rng, restarts, list(I), 80):
+        hit = np.flatnonzero(res <= RESID_TOL)
         if hit.size:
             U = U[hit[0]].copy()
             return FlagSolution(U, U.conj().T @ A @ U, float(res[hit[0]]) * s * s)
@@ -614,30 +613,30 @@ def _torus_invariants(B: np.ndarray):
     return diag, np.abs(free), phase
 
 
-def _torus_match(new, old, tol: float):
+def _torus_match(new, old):
     """Whether matrices with torus invariants ``new`` are conjugate to ones
     with invariants ``old`` (broadcasting) by a diagonal unitary.  When a free
     entry of ``new`` vanishes, the cycle phase is unconstrained."""
     (d1, m1, p1), (d2, m2, p2) = new, old
     return (
-        np.all(np.abs(d1 - d2) <= tol, axis=-1)
-        & np.all(np.abs(m1 - m2) <= tol, axis=-1)
-        & ((np.min(m1, axis=-1) <= tol) | (np.abs(p1 - p2) < 100 * tol))
+        np.all(np.abs(d1 - d2) <= TORUS_TOL, axis=-1)
+        & np.all(np.abs(m1 - m2) <= TORUS_TOL, axis=-1)
+        & ((np.min(m1, axis=-1) <= TORUS_TOL) | (np.abs(p1 - p2) < 100 * TORUS_TOL))
     )
 
 
-def torus_equivalent(B, C, tol: float = 1e-7) -> bool:
+def torus_equivalent(B, C) -> bool:
     """Whether two matrices in the cyclic pattern subspace are conjugate by a
     diagonal unitary: equal diagonals, equal moduli of the free entries, and
     a matching phase of the cycle product when all three entries of B are
-    nonzero.
+    nonzero, each up to TORUS_TOL (the phase up to 100 TORUS_TOL).
     """
     B = np.asarray(B, dtype=complex)
     C = np.asarray(C, dtype=complex)
-    return bool(_torus_match(_torus_invariants(B), _torus_invariants(C), tol))
+    return bool(_torus_match(_torus_invariants(B), _torus_invariants(C)))
 
 
-def _torus_clusters(B: np.ndarray, tol: float) -> np.ndarray:
+def _torus_clusters(B: np.ndarray) -> np.ndarray:
     """Cluster label of each matrix of the stack B, in order of appearance.
 
     The first matrix no cluster holds founds the next one, which takes every
@@ -652,7 +651,7 @@ def _torus_clusters(B: np.ndarray, tol: float) -> np.ndarray:
     while unlabeled.size:
         founder = unlabeled[0]
         match = _torus_match(
-            tuple(x[unlabeled] for x in inv), tuple(x[founder] for x in inv), tol
+            tuple(x[unlabeled] for x in inv), tuple(x[founder] for x in inv)
         )
         match[0] = True
         labels[unlabeled[match]] = k
@@ -688,20 +687,19 @@ def count_flags(
     A,
     restarts: int = 2000,
     seed: int = 0,
-    max_iter: int = 60,
-    resid_tol: float = 1e-18,
-    cluster_tol: float = 1e-7,
-    genericity_band: float = 1e-6,
 ) -> FlagCensus:
     """Count the diagonal-torus orbits in the intersection of the conjugation
     orbit of A with the cyclic pattern subspace, by clustering the converged
     endpoints of random-restart Gauss-Newton runs.
 
-    A is normalized to unit Frobenius norm first.  The count equals the
-    number of flags reducing A into the subspace when every intersection
-    point is transversal; samples with a cluster too close to the
-    non-transversal locus are marked non-generic.  The restarts run in
-    blocks of fixed size; the outputs do not depend on it.
+    A is made traceless and normalized to unit Frobenius norm first.  Each
+    restart takes up to 60 Gauss-Newton steps and has converged when its
+    squared residual is at most RESID_TOL; the converged endpoints are
+    clustered by ``torus_equivalent``.  The count equals the number of flags
+    reducing A into the subspace when every intersection point is
+    transversal; a sample with a cluster whose |P1| is below 1e-6 is marked
+    non-generic.  The clusters are grouped by P1 rounded to TORUS_TOL.  The
+    restarts run in blocks of fixed size; the outputs do not depend on it.
     """
     if restarts < 1:
         raise ValueError("count_flags needs at least one restart")
@@ -714,15 +712,15 @@ def count_flags(
     rng = np.random.default_rng(seed)
     ends, converged, steps = [], [], []
     for lo, (U, B, res, taken) in _reduce_blocks(
-        A, rng, restarts, list(CYCLIC_PATTERN), max_iter, resid_tol
+        A, rng, restarts, list(CYCLIC_PATTERN), 60
     ):
-        ok = np.flatnonzero(res <= resid_tol)
+        ok = np.flatnonzero(res <= RESID_TOL)
         ends.append((U[ok], B[ok], res[ok]))
         converged.append(lo + ok)
         steps.append(taken)
     U, B, res = (np.concatenate(part) for part in zip(*ends))
     converged = np.concatenate(converged)
-    labels = _torus_clusters(B, cluster_tol)
+    labels = _torus_clusters(B)
     first = np.unique(labels, return_index=True)[1]
     # copies, so a census does not keep every endpoint of the run alive
     reps = [FlagSolution(U[k].copy(), B[k].copy(), float(res[k])) for k in first]
@@ -731,19 +729,19 @@ def count_flags(
     p1s = [float(poly_P1(r.reduced)) for r in reps]
     z = CYCLE_MATRIX
     z_closed = True
-    for rep in reps:
+    for rep, p1 in zip(reps, p1s):
         img = z @ rep.reduced @ z.T
         for k, other in enumerate(reps):
-            if torus_equivalent(img, other.reduced, tol=cluster_tol):
-                if abs(p1s[k] - poly_P1(rep.reduced)) > 1e-6:
+            if torus_equivalent(img, other.reduced):
+                if abs(p1s[k] - p1) > 1e-6:
                     z_closed = False
                 break
         else:
             z_closed = False
-    generic = bool(reps) and bool(min(abs(p) for p in p1s) >= genericity_band)
+    generic = bool(reps) and bool(min(abs(p) for p in p1s) >= 1e-6)
     groups: dict[int, int] = {}
     for p in p1s:
-        key = round(p / max(cluster_tol, 1e-9))
+        key = round(p / TORUS_TOL)
         groups[key] = groups.get(key, 0) + 1
     incomplete = n_converged < max(10, restarts // 200)
     return FlagCensus(

@@ -410,48 +410,33 @@ _SIMPLE_FAMILIES = {
 }
 
 
-def make_family(name: str, n: int | None = None, *, k: int | None = None,
-                sigma: Sequence[int] | None = None,
-                ivec: Sequence[int] | None = None) -> tuple[Pattern, int]:
-    """Build a named pattern family; returns (pattern, ambient n)."""
-    name = name.lower()
-    if name in _SIMPLE_FAMILIES:
-        if n is None:
-            raise ValueError(f"family {name!r} needs n")
-        return _SIMPLE_FAMILIES[name](n), n
-    if name == "jkn":
-        if k is None or n is None:
-            raise ValueError("family 'jkn' needs k and n")
-        return j_hessenberg(k, n), n
-    if name == "jfam":
-        if sigma is None or ivec is None:
-            raise ValueError("family 'jfam' needs sigma and i")
-        return j_family(sigma, ivec), len(tuple(sigma))
-    if name == "cyclic":
-        return cyclic3(), 3
-    raise ValueError(f"unknown family {name!r}")
-
-
 def parse_family(text: str) -> tuple[Pattern, int]:
     """Parse a family spec like 'lambda:5', 'jkn:2,5', 'cyclic', or
-    'jfam:sigma=[1,3,2],i=[1,-1]'."""
+    'jfam:sigma=[1,3,2],i=[1,-1]'; returns (pattern, ambient n)."""
     name, _, rest = text.partition(":")
     name = name.strip().lower()
+    rest = rest.strip()
     if name == "cyclic":
+        if rest not in ("", "3"):
+            raise ValueError(f"the cyclic pattern is 3 x 3, got {text!r}")
         return cyclic3(), 3
     if name == "jfam":
         params = _parse_kv_ints(rest)
-        if "sigma" not in params or "i" not in params:
-            raise ValueError("jfam spec needs sigma=[...] and i=[...]")
-        return make_family("jfam", sigma=params["sigma"], ivec=params["i"])
+        if sorted(params) != ["i", "sigma"]:
+            raise ValueError("jfam spec is 'jfam:sigma=[...],i=[...]'")
+        return j_family(params["sigma"], params["i"]), len(params["sigma"])
     if name == "jkn":
         parts = [p for p in rest.split(",") if p.strip()]
         if len(parts) != 2:
             raise ValueError("jkn spec is 'jkn:k,n'")
-        return make_family("jkn", int(parts[1]), k=int(parts[0]))
+        n = int(parts[1])
+        return j_hessenberg(int(parts[0]), n), n
+    if name not in _SIMPLE_FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
     if not rest:
         raise ValueError(f"family spec {text!r} is missing ':n'")
-    return make_family(name, int(rest))
+    n = int(rest)
+    return _SIMPLE_FAMILIES[name](n), n
 
 
 def _parse_kv_ints(text: str) -> dict[str, list[int]]:
@@ -473,6 +458,9 @@ def _parse_kv_ints(text: str) -> dict[str, list[int]]:
         chunks.append(chunk)
     for c in chunks:
         key, _, val = c.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"key {key!r} is given twice")
         val = val.strip().strip("[]")
-        out[key.strip()] = [int(v) for v in val.split(",") if v.strip()]
+        out[key] = [int(v) for v in val.split(",") if v.strip()]
     return out

@@ -171,9 +171,10 @@ def is_defective(I: Pattern, n: int) -> bool:
     return stabilizer_dim(I, n) > n * n - 2 * len(I)
 
 
-def float_system_rank(I: Pattern, n: int, tol: float = 1e-8) -> int:
-    """Floating-point rank of the same system; the benchmark's oracle."""
+def float_system_rank(I: Pattern, n: int) -> int:
+    """Floating-point rank of the same system, singular values above 1e-8;
+    the benchmark's oracle."""
     rows = constraint_rows(I, n)
     if not rows:
         return 0
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=tol))
+    return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-8))

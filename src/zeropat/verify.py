@@ -127,11 +127,11 @@ def suite_pi_family(max_n: int = 7) -> dict:
     return {"rows": rows, "passed": ok}
 
 
-def suite_jfamily(samples: int = 200, seed: int = 0, ns=(3, 4, 5, 6)) -> dict:
+def suite_jfamily(samples: int = 200, seed: int = 0) -> dict:
     rng = random.Random(seed)
     checked = 0
     failures = []
-    for n in ns:
+    for n in (3, 4, 5, 6):
         for _ in range(samples):
             sigma, ivec = random_j_parameters(rng, n)
             J = j_family(sigma, ivec)
@@ -246,8 +246,8 @@ def suite_derivative_chain(
     }
 
 
-def suite_complexity1(ns=(4, 5)) -> dict:
-    reports = [check_complexity_one(n) for n in ns]
+def suite_complexity1() -> dict:
+    reports = [check_complexity_one(n) for n in (4, 5)]
     return {
         "reports": reports,
         "passed": all(r["passed"] for r in reports),

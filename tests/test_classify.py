@@ -28,7 +28,7 @@ from zeropat.classify import (
 from zeropat.patterns import Pattern, lam, mu, random_permutation
 from zeropat.polynomials import norm_squared, pair_with_vandermonde
 from zeropat.stabdim import constraint_rows, integer_rank
-from zeropat.verify import load_expected
+from zeropat.verify import load_expected, random_strict
 
 # sha256 of the compact, key-sorted JSON list of ClassRecord.to_json() in
 # census order; the benchmark's reference file records the same digests
@@ -36,11 +36,6 @@ CENSUS_RECORDS_SHA256 = {
     4: "e41d124944e2445cc2c3e4dd3a8c1eff2d84f1c46d063fd8422acf06dfceafc1",
     5: "4355924840fb3ab90ad91140e0b15bd3fc6b9c6b2ef490e46f0df26e93ba2b70",
 }
-
-
-def rand_strict(rng, n):
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return Pattern(rng.sample(cells, mu(n)))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +168,7 @@ def test_enumeration_is_strict_and_unique():
 def test_canonical_form_constant_on_orbits():
     rng = random.Random(0)
     for _ in range(20):
-        I = rand_strict(rng, 4)
+        I = random_strict(rng, 4)
         c = canonical_form(I, 4)
         p = random_permutation(rng, 4)
         assert canonical_form(I.apply_perm(p), 4) == c
@@ -188,7 +183,7 @@ def test_canonical_forms_match_the_permutation_loops():
         for bits in itertools.product((0, 1), repeat=9)
     ]
     cases += [(I, 4) for I in enumerate_strict(4)]
-    cases += [(rand_strict(rng, 5), 5) for _ in range(200)]
+    cases += [(random_strict(rng, 5), 5) for _ in range(200)]
     # non-strict patterns of sizes up to the 64-bit mask limit
     for n, k in ((4, 9), (5, 12), (6, 10), (7, 8), (8, 5)):
         grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

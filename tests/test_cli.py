@@ -134,8 +134,12 @@ def test_verify_unknown_suite_rejected(capsys):
     (["pair", "--pattern", "[[1,2]]"], "--pattern needs --n"),
     (["stabdim", "--n", "3"], "need --pattern or --family"),
     (["classify", "--n", "2", "--weak"], "--weak needs --format text"),
+    (["pair", "--family", "cyclic:7"], "the cyclic pattern is 3 x 3"),
+    (["pair", "--family", "jfam:sigma=[1,3,2],i=[1,-1],bogus=[9]"],
+     "jfam spec is 'jfam:sigma=[...],i=[...]'"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
-        "pattern-without-n", "no-pattern", "weak-without-text"])
+        "pattern-without-n", "no-pattern", "weak-without-text",
+        "cyclic-of-another-size", "unknown-jfam-key"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -226,7 +226,7 @@ def gauss_newton_one_start(A, U0, positions, max_iter=60, resid_tol=1e-18):
     built from the whole basis stack, ``lstsq`` for the step, and a fresh
     ``eigh`` per step length.  Returns (solution, steps taken)."""
     pos0 = [(i - 1, j - 1) for (i, j) in positions]
-    stack = np.stack(skew_hermitian_basis(A.shape[0]))
+    stack = skew_hermitian_basis(A.shape[0])
     U = U0
     B = U.conj().T @ A @ U
     r = _pattern_residual(B, pos0)
@@ -416,7 +416,7 @@ def test_torus_clusters_match_the_greedy_loop():
             M[2, 0] = 1.2e-7 * np.exp(1j * rng.uniform(0, 2 * np.pi))
         mats.append(M)
     mats = np.stack(mats)
-    labels = orbit3._torus_clusters(mats, 1e-7)
+    labels = orbit3._torus_clusters(mats)
     assert labels.tolist() == greedy_clusters(mats)
     assert 4 <= labels.max() + 1 < len(mats)
     for B in mats[:20]:

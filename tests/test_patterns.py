@@ -17,7 +17,6 @@ from zeropat.patterns import (
     j_hessenberg,
     lam,
     lam_prime,
-    make_family,
     mu,
     ne,
     nw,
@@ -30,11 +29,7 @@ from zeropat.patterns import (
     se,
     sw,
 )
-
-
-def rand_pattern(rng, n, size=None):
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return Pattern(rng.sample(cells, mu(n) if size is None else size))
+from zeropat.verify import random_strict
 
 
 def test_position_validation():
@@ -50,7 +45,7 @@ def test_transpose_basics():
     assert ne(3).transpose() == sw(3)
     rng = random.Random(0)
     for _ in range(20):
-        I = rand_pattern(rng, 4)
+        I = random_strict(rng, 4)
         assert I.transpose().transpose() == I
 
 
@@ -85,7 +80,7 @@ def test_complexity():
 def test_complexity_invariance():
     rng = random.Random(1)
     for _ in range(30):
-        I = rand_pattern(rng, 5)
+        I = random_strict(rng, 5)
         p = random_permutation(rng, 5)
         assert I.apply_perm(p).complexity() == I.complexity()
         assert I.transpose().complexity() == I.complexity()
@@ -97,7 +92,7 @@ def test_apply_perm():
     assert I.apply_perm((1, 2)) == I
     rng = random.Random(2)
     for _ in range(30):
-        I = rand_pattern(rng, 5)
+        I = random_strict(rng, 5)
         p = random_permutation(rng, 5)
         q = random_permutation(rng, 5)
         assert I.apply_perm(q).apply_perm(p) == I.apply_perm(perm_compose(p, q))
@@ -136,7 +131,7 @@ def test_flip():
 def test_flip_preserves_pair_multiset():
     rng = random.Random(3)
     for _ in range(30):
-        I = rand_pattern(rng, 5)
+        I = random_strict(rng, 5)
         flippable = [p for p in I if (p[1], p[0]) not in I]
         if not flippable:
             continue
@@ -256,7 +251,7 @@ def test_cyclic():
 def test_mask_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
-        I = rand_pattern(rng, 5)
+        I = random_strict(rng, 5)
         assert Pattern.from_mask(I.mask(5), 5) == I
 
 
@@ -272,7 +267,13 @@ def test_family_parsing():
     with pytest.raises(ValueError):
         parse_family("lambda")
     with pytest.raises(ValueError):
-        make_family("nonesuch", 3)
+        parse_family("nonesuch:3")
+    with pytest.raises(ValueError):
+        parse_family("cyclic:7")
+    with pytest.raises(ValueError):
+        parse_family("jfam:sigma=[1,3,2],i=[1,-1],bogus=[9]")
+    with pytest.raises(ValueError):
+        parse_family("jfam:sigma=[1,3,2],i=[1,-1],i=[1,-1]")
 
 
 def test_json_roundtrip():

@@ -21,11 +21,7 @@ from zeropat.stabdim import (
     stabilizer_dim,
     traceless_basis,
 )
-
-
-def rand_strict(rng, n):
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return Pattern(rng.sample(cells, mu(n)))
+from zeropat.verify import random_strict
 
 
 def bareiss_dim(I, n):
@@ -63,7 +59,7 @@ def strict_with_twin(rng, n):
 def test_basis_dimension():
     for n in (3, 4, 5):
         rng = random.Random(n)
-        I = rand_strict(rng, n)
+        I = random_strict(rng, n)
         assert len(traceless_basis(I, n)) == n * n - 1 - len(I)
 
 
@@ -92,14 +88,14 @@ def test_torus_lower_bound():
     rng = random.Random(0)
     for n in (3, 4, 5):
         for _ in range(15):
-            assert stabilizer_dim(rand_strict(rng, n), n) >= n
+            assert stabilizer_dim(random_strict(rng, n), n) >= n
 
 
 def test_invariance_under_relabeling_and_transpose():
     rng = random.Random(1)
     for n in (4, 5):
         for _ in range(15):
-            I = rand_strict(rng, n)
+            I = random_strict(rng, n)
             d = stabilizer_dim(I, n)
             p = random_permutation(rng, n)
             assert stabilizer_dim(I.apply_perm(p), n) == d
@@ -111,7 +107,7 @@ def test_exact_rank_matches_float_oracle():
     rng = random.Random(2)
     for n in (4, 5):
         for _ in range(100):
-            I = rand_strict(rng, n)
+            I = random_strict(rng, n)
             rows = constraint_rows(I, n)
             assert integer_rank(rows, n * n) == float_system_rank(I, n)
 
@@ -157,7 +153,7 @@ def test_count_is_the_twin_count_on_strict_patterns():
     rng = random.Random(4)
     for n in (6, 7):
         for t in range(100):
-            I = strict_with_twin(rng, n) if t % 2 else rand_strict(rng, n)
+            I = strict_with_twin(rng, n) if t % 2 else random_strict(rng, n)
             assert len(I) == mu(n) and I.is_strict()
             d = stabilizer_dim(I, n)
             assert d == bareiss_dim(I, n), (n, I)
