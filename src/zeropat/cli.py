@@ -70,8 +70,8 @@ def _as_csv(obj) -> str:
 def _resolve_pattern(args) -> tuple[Pattern, int]:
     if getattr(args, "family", None):
         I, n = parse_family(args.family)
-        if getattr(args, "n", None):
-            n = args.n
+        if getattr(args, "n", None) not in (None, n):
+            raise ValueError(f"--family {args.family} fixes n = {n}, not {args.n}")
         return I, n
     if getattr(args, "pattern", None):
         if args.n is None:

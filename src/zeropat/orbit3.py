@@ -410,6 +410,18 @@ RESID_TOL = 1e-18
 #: tolerance on unit-norm matrices of the diagonal-torus conjugacy test
 TORUS_TOL = 1e-7
 
+#: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
+#: its diagonal, that the Gram step accepts.  The j-th pivot is the squared
+#: distance of row j of J from the span of the rows before it, so a Jacobian
+#: whose rows are dependent to within about 1e-4 of their size goes to the
+#: SVD.  For the Jacobians kept, the Gram solve's error of about
+#: cond(J)^2 eps stays near 1e-7 of the step at worst, and the next
+#: Gauss-Newton step absorbs it.  Exactly rank-deficient Jacobians give
+#: pivots near eps.  Over the 263,429 Jacobians of count_flags on the 16
+#: benchmark matrices of seeds 1 and 7919, the smallest relative pivot is
+#: 4e-8 (cond(J) up to 1.6e4), so none of them takes the SVD.
+_GRAM_PIVOT = 1e-8
+
 
 @dataclass
 class FlagSolution:
@@ -484,6 +496,48 @@ def _residuals(B: np.ndarray, rows, cols) -> np.ndarray:
     return np.concatenate([vals.real, vals.imag], axis=1)
 
 
+def _min_norm_steps(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solutions x of J x = -r for a stack J of
+    shape (R, m, d) with m <= d, as ``lstsq(J, -r, rcond=None)`` gives them.
+
+    A Jacobian of full row rank has x = J^T y with (J J^T) y = -r, solved by
+    a Cholesky of the m x m Gram matrix done column by column across the
+    stack.  A Jacobian with a pivot below _GRAM_PIVOT times the mean Gram
+    diagonal may be rank-deficient, where only a truncated SVD gives the
+    right step; the SVD runs on those rows alone.  Returns (x, svd_rows),
+    the steps and the mask of the rows the SVD solved."""
+    m = J.shape[1]
+    G = J @ J.swapaxes(1, 2)
+    # [G | -r] with the stack axis last, eliminated in place: row j ends as
+    # row j of L^T followed by the forward solution z_j of L z = -r
+    T = np.empty((m, m + 1, len(J)))
+    T[:, :m] = G.transpose(1, 2, 0)
+    T[:, m] = -r.T
+    floor = _GRAM_PIVOT * np.trace(G, axis1=1, axis2=2) / m
+    ok = np.ones(len(J), dtype=bool)
+    diag = np.empty((m, len(J)))
+    for j in range(m):
+        ok &= T[j, j] > floor
+        diag[j] = np.sqrt(np.where(ok, T[j, j], 1.0))
+        T[j, j:] /= diag[j]
+        T[j + 1 :, j + 1 :] -= T[j, j + 1 : m, None] * T[j, None, j + 1 :]
+    # back substitution L^T y = z
+    y = T[:, m]
+    for j in range(m - 1, -1, -1):
+        y[j] /= diag[j]
+        y[:j] -= T[:j, j] * y[j]
+    x = np.einsum("rib,ir->rb", J, y)
+    svd_rows = ~ok
+    if svd_rows.any():
+        # truncated where lstsq(rcond=None) truncates
+        W, sv, Vh = np.linalg.svd(J[svd_rows], full_matrices=False)
+        cut = np.finfo(float).eps * max(J.shape[1:]) * sv[:, :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cut)
+        Wr = np.einsum("rim,ri->rm", W, r[svd_rows])
+        x[svd_rows] = -np.einsum("rmb,rm->rb", Vh, inv * Wr)
+    return x, svd_rows
+
+
 def gauss_newton_reduce(
     A: np.ndarray,
     U0: np.ndarray,
@@ -497,10 +551,15 @@ def gauss_newton_reduce(
     The residual is the stacked real and imaginary parts of the constrained
     entries; its squared norm is the quantity thresholded by RESID_TOL.  A
     step is the minimum-norm least-squares solution of the linearized
-    system in the coordinates of ``skew_hermitian_basis(n)``; it is halved
-    up to nine times until the residual strictly drops.  A start stops when
-    its residual is at most RESID_TOL, when no step length lowers it, or
-    after max_iter steps.  The starts share no state: each follows the path
+    system in the coordinates of ``skew_hermitian_basis(n)``: J^T y with
+    (J J^T) y = -r, from a Cholesky of the Gram matrix (``_min_norm_steps``).
+    A start whose Gram pivot falls below _GRAM_PIVOT takes the truncated SVD
+    step instead, the only correct one for a rank-deficient Jacobian; such
+    Jacobians occur, e.g. all along the orbit of the nilpotent E_12 + E_34
+    for the first pattern of EXCEPTIONAL_4.  The step is halved up to nine
+    times until the residual strictly drops.  A start stops when its
+    residual is at most RESID_TOL, when no step length lowers it, or after
+    max_iter steps.  The starts share no state: each follows the path
     it would follow alone.
 
     Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
@@ -522,11 +581,7 @@ def gauss_newton_reduce(
         if idx.size == 0:
             break
         J = _pattern_jacobian(B[idx], rows, cols, basis)
-        # minimum-norm solution, truncated where lstsq(rcond=None) truncates
-        W, sv, Vh = np.linalg.svd(J, full_matrices=False)
-        cut = np.finfo(float).eps * max(J.shape[1:]) * sv[:, :1]
-        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cut)
-        coef = -np.einsum("rmb,rm->rb", Vh, inv * np.einsum("rim,ri->rm", W, r[idx]))
+        coef, _ = _min_norm_steps(J, r[idx])
         X = np.tensordot(coef, basis, axes=(1, 0))
         # exp(t X) = V diag(e^{i t w}) V* from one eigh of the hermitian -iX
         w, V = np.linalg.eigh(-1j * X)

@@ -137,9 +137,14 @@ def test_verify_unknown_suite_rejected(capsys):
     (["pair", "--family", "cyclic:7"], "the cyclic pattern is 3 x 3"),
     (["pair", "--family", "jfam:sigma=[1,3,2],i=[1,-1],bogus=[9]"],
      "jfam spec is 'jfam:sigma=[...],i=[...]'"),
+    (["pair", "--family", "cyclic", "--n", "7", "--format", "text"],
+     "--family cyclic fixes n = 3, not 7"),
+    (["stabdim", "--family", "lambda:4", "--n", "6"],
+     "--family lambda:4 fixes n = 4, not 6"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
-        "cyclic-of-another-size", "unknown-jfam-key"])
+        "cyclic-of-another-size", "unknown-jfam-key",
+        "n-against-the-family-pair", "n-against-the-family-stabdim"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

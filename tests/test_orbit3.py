@@ -449,3 +449,40 @@ def test_numeric_reduce_matches_the_restart_loop(case):
         if want.residual <= 1e-18:
             break
     assert np.max(np.abs(sol.unitary - want.unitary)) <= 1e-9
+
+
+def _pattern_jacobians(A, I, count, rng):
+    """Pattern Jacobians and residuals of I at ``count`` Haar conjugates of A."""
+    n = A.shape[0]
+    rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
+    B = orbit3._conjugates(A, haar_unitaries(rng, count, n))
+    J = orbit3._pattern_jacobian(B, rows, cols, skew_hermitian_basis(n))
+    return J, orbit3._residuals(B, rows, cols)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_min_norm_steps_match_lstsq(n):
+    rng = np.random.default_rng(40 + n)
+    I = {2: ne(2), 3: CYCLIC_PATTERN, 4: EXCEPTIONAL_4[0]}[n]
+    J, r = _pattern_jacobians(random_traceless(rng, n), I, 40, rng)
+    deficient = np.zeros(len(J), dtype=bool)
+    # one row of one Jacobian scaled down: still full rank, but its Gram
+    # pivot falls below the bound
+    J[1, 0] *= 1e-6
+    deficient[1] = True
+    if n == 4:
+        # the nilpotent of test_numeric_reduce_obstructed_case: every
+        # Jacobian on its orbit is exactly rank-deficient: the Gram matrix is
+        # singular, and lstsq truncates
+        N = np.zeros((4, 4), dtype=complex)
+        N[0, 1] = N[2, 3] = 1
+        JN, rN = _pattern_jacobians(N / np.sqrt(2), I, 20, rng)
+        mix = rng.permutation(60)
+        J, r = np.concatenate([J, JN])[mix], np.concatenate([r, rN])[mix]
+        deficient = np.concatenate([deficient, np.ones(20, dtype=bool)])[mix]
+    x, svd_rows = orbit3._min_norm_steps(J, r)
+    assert np.array_equal(svd_rows, deficient)
+    assert np.isfinite(x).all()
+    for Jk, rk, xk in zip(J, r, x):
+        want = np.linalg.lstsq(Jk, -rk, rcond=None)[0]
+        assert np.linalg.norm(xk - want) <= 1e-10 * np.linalg.norm(want)
