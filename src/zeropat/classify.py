@@ -8,13 +8,18 @@ exceptional from its pairing against the Vandermonde expansion and its exact
 stabilizer dimension.
 
 One orbit engine serves every consumer.  A pattern is its occupancy mask
-over the n x n grid (``Pattern.mask``, 64-bit, so n <= 8), and one lazily
-built gather table per n maps a mask to its |G| image masks.  The canonical
-form of a pattern is its minimum image; its flip key is the minimum
-pair-multiplicity code over its images.  The census walks the sorted masks
-of all strict patterns: the first unvisited mask is the minimum of its orbit,
-hence the class representative, and marking its images visited gives the
-orbit size.  Output is reproducible bit for bit.
+over the n x n grid (``Pattern.mask``, 64-bit, so n <= 8), and two matrices
+cached per n, built once from the group's gather table, carry a mask's
+occupancy bits b to its whole orbit: b @ P lists the 2 n! image masks and
+b @ W the flip code of each image, its pair-multiplicity code.  The
+canonical form of a pattern is its minimum image and its flip key the
+minimum of b @ W, both from the pattern alone.  The census lists the sorted
+masks of all strict patterns by array arithmetic, joining every subset of
+the low half of the off-diagonal cells with every subset of the high half
+of the complementary size, and walks them: the first unvisited mask is the
+minimum of its orbit, hence the class representative, and marking its
+deduplicated images visited gives the orbit size.  Output is reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -115,8 +120,11 @@ def strict_count(n: int) -> int:
 
 # -- the orbit engine ------------------------------------------------------------
 
+#: strict masks per visited-scan chunk of the census walk; the n = 5 walk
+#: time is flat for chunks from 256 to 65,536 masks
+_WALK_CHUNK = 4096
 
-@functools.cache
+
 def _group_table(n: int) -> np.ndarray:
     """Gather table of G on the n x n grid, 2 n! rows by n^2 columns: the
     image of a mask under row g has at cell c the bit the mask has at cell
@@ -128,9 +136,7 @@ def _group_table(n: int) -> np.ndarray:
     perms = permutation_table(n)[0].astype(np.intp)
     relabel = perms[:, :, None] * n + perms[:, None, :]
     table = np.concatenate([relabel, relabel.transpose(0, 2, 1)])
-    table = table.reshape(-1, n * n)
-    table.flags.writeable = False
-    return table
+    return table.reshape(-1, n * n)
 
 
 def _cell_bits(masks, n: int) -> np.ndarray:
@@ -139,57 +145,96 @@ def _cell_bits(masks, n: int) -> np.ndarray:
     return (np.asarray(masks, dtype=np.uint64)[..., None] >> cells) & np.uint64(1)
 
 
-def _orbit_images(mask: int, n: int) -> np.ndarray:
-    """The 2 n! image masks of one occupancy mask under relabeling and
-    transposition, one per group element, repeated where the stabilizer is
-    nontrivial.  Needs n <= 8."""
-    table = _group_table(n)
-    powers = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
-    return _cell_bits(mask, n)[table] @ powers
-
-
-@functools.cache
 def _weak_weights(n: int) -> np.ndarray:
     """Weight of each cell in a weak code, flattened like ``_cell_bits``:
     cells (i, j) and (j, i) both weigh the base-3 place of the pair {i < j},
     the first pair in lexicographic order most significant; diagonal cells
-    weigh 0."""
+    weigh 0.  A code lists the multiplicities (0, 1 or 2) of the unordered
+    pairs {i < j} in lexicographic order as base-3 digits, most significant
+    first, so codes order like those tuples."""
     weights = np.zeros((n, n), dtype=np.uint64)
     weights[np.triu_indices(n, 1)] = np.uint64(3) ** np.arange(
         mu(n) - 1, -1, -1, dtype=np.uint64
     )
-    weights = (weights + weights.T).ravel()
-    weights.flags.writeable = False
-    return weights
+    return (weights + weights.T).ravel()
 
 
-def _weak_code(masks, n: int) -> int:
-    """Minimum pair-multiplicity code over masks.  A code lists the
-    multiplicities (0, 1 or 2) of the unordered pairs {i < j} in
-    lexicographic order as base-3 digits, most significant first, so codes
-    order like those tuples; diagonal cells do not count."""
-    return int((_cell_bits(masks, n) @ _weak_weights(n)).min())
+@functools.cache
+def _image_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image-power matrix P and image-weight matrix W of G on the n x n
+    grid, n^2 rows by 2 n! columns each, cached and read-only.  For the
+    occupancy bits b of a mask, b @ P holds its image masks and b @ W the
+    weak codes of those images, one column per group element.  The image
+    under row g of ``_group_table`` moves cell table[g, c] to cell c, so
+    column g has the power 2^c and the weight of cell c in row table[g, c].
+    Needs n <= 8."""
+    table = _group_table(n)
+    column = np.arange(len(table))[:, None]
+    P = np.zeros((n * n, len(table)), dtype=np.uint64)
+    W = np.zeros_like(P)
+    P[table, column] = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
+    W[table, column] = _weak_weights(n)
+    P.flags.writeable = W.flags.writeable = False
+    return P, W
+
+
+def _orbit_images(mask: int, n: int) -> np.ndarray:
+    """The 2 n! image masks of one occupancy mask under relabeling and
+    transposition, one per group element, repeated where the stabilizer is
+    nontrivial.  Needs n <= 8."""
+    P, _ = _image_matrices(n)
+    return _cell_bits(mask, n) @ P
+
+
+def _weak_code(mask: int, n: int) -> int:
+    """Flip key of the class of one occupancy mask: the minimum weak code
+    (see ``_weak_weights``) over its images.  Needs n <= 8."""
+    _, W = _image_matrices(n)
+    return int((_cell_bits(mask, n) @ W).min())
 
 
 def _strict_masks(n: int) -> np.ndarray:
-    """Sorted occupancy masks of all strict size-mu(n) patterns."""
-    cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
-    flat = itertools.chain.from_iterable(itertools.combinations(cells, mu(n)))
-    combos = np.fromiter(flat, dtype=np.uint64).reshape(-1, mu(n))
-    return np.sort((np.uint64(1) << combos).sum(axis=1))
+    """Sorted occupancy masks of all strict size-mu(n) patterns.  The 2 mu(n)
+    off-diagonal cells split into a low and a high half; every mask joins a
+    subset of one half with a subset of the other, the two sizes summing to
+    mu(n)."""
+    cells = np.array(
+        [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)], dtype=np.uint64
+    )
+    halves = []
+    for half in (cells[: mu(n)], cells[mu(n):]):
+        spread = np.zeros(1, dtype=np.uint64)
+        size = np.zeros(1, dtype=np.intp)
+        for c in half:
+            spread = np.concatenate([spread, spread | (np.uint64(1) << c)])
+            size = np.concatenate([size, size + 1])
+        halves.append((spread, size))
+    (low, low_size), (high, high_size) = halves
+    masks = np.concatenate([
+        (high[high_size == mu(n) - k, None] | low[low_size == k]).ravel()
+        for k in range(mu(n) + 1)
+    ])
+    masks.sort()
+    return masks
 
 
 def _class_walk(n: int):
-    """Yield (canonical mask, orbit) for every class of strict size-mu(n)
-    patterns in increasing canonical mask; orbit is the sorted array of the
-    masks in the class."""
+    """Yield (canonical mask, orbit size) for every class of strict
+    size-mu(n) patterns in increasing canonical mask.  The first unvisited
+    strict mask is the minimum of its orbit; each chunk of the sorted masks
+    lists its unvisited ones at once, and each is checked again before use,
+    since an orbit met earlier in the chunk may cover it."""
     masks = _strict_masks(n)
     visited = np.zeros(masks.size, dtype=bool)
-    for k in range(masks.size):
-        if not visited[k]:
-            orbit = np.unique(_orbit_images(int(masks[k]), n))
+    for start in range(0, masks.size, _WALK_CHUNK):
+        fresh = start + np.flatnonzero(~visited[start:start + _WALK_CHUNK])
+        for k in fresh.tolist():
+            if visited[k]:
+                continue
+            images = np.sort(_orbit_images(masks[k], n))
+            orbit = images[np.concatenate(([True], images[1:] != images[:-1]))]
             visited[np.searchsorted(masks, orbit)] = True
-            yield int(masks[k]), orbit
+            yield int(masks[k]), int(orbit.size)
 
 
 def canonical_form(I: Pattern, n: int) -> Pattern:
@@ -204,7 +249,7 @@ def weak_canonical_form(I: Pattern, n: int) -> tuple[int, ...]:
     invariant of flip equivalence combined with relabeling, taken as the
     least vector over the orbit of I (transposition keeps multiplicities).
     Needs n <= 8."""
-    code = _weak_code(_orbit_images(I.mask(n), n), n)
+    code = _weak_code(I.mask(n), n)
     return tuple(code // 3**k % 3 for k in reversed(range(mu(n))))
 
 
@@ -223,8 +268,8 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
     weak_keys = set()
     covered = 0
     tally = {STATUS_NONSINGULAR: 0, STATUS_DEFECTIVE: 0, STATUS_EXCEPTIONAL: 0}
-    for rep_mask, orbit in _class_walk(n):
-        weak_keys.add(_weak_code(orbit, n))
+    for rep_mask, orbit_size in _class_walk(n):
+        weak_keys.add(_weak_code(rep_mask, n))
         rep = Pattern.from_mask(rep_mask, n)
         pairing = pair_with_vandermonde(rep, n)
         sd = stabilizer_dim(rep, n)
@@ -239,11 +284,11 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         else:
             status = STATUS_EXCEPTIONAL
         tally[status] += 1
-        covered += orbit.size
+        covered += orbit_size
         records.append(
             ClassRecord(
                 canonical=rep,
-                orbit_size=int(orbit.size),
+                orbit_size=orbit_size,
                 pairing=pairing,
                 stab_dim=sd,
                 complexity=rep.complexity(),
@@ -389,10 +434,10 @@ def check_complexity_one(n: int) -> dict:
         # complexity is a class invariant, so whole classes are in or out
         count = 0
         weak_keys = set()
-        for rep_mask, orbit in _class_walk(n):
+        for rep_mask, orbit_size in _class_walk(n):
             if Pattern.from_mask(rep_mask, n).complexity() == 1:
-                count += orbit.size
-                weak_keys.add(_weak_code(orbit, n))
+                count += orbit_size
+                weak_keys.add(_weak_code(rep_mask, n))
         report["num_complexity_one_patterns"] = count
         report["num_weak_classes"] = len(weak_keys)
     else:
@@ -463,7 +508,7 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
     if sample is not None:
         classes = _sampled_classes(n, sample, seed)
     elif 2 <= n <= MAX_ENUM_N:
-        classes = [(rep, int(orbit.size)) for rep, orbit in _class_walk(n)]
+        classes = list(_class_walk(n))
     else:
         raise ValueError(
             f"an exhaustive scan is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}; "

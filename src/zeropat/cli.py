@@ -68,12 +68,14 @@ def _as_csv(obj) -> str:
 
 
 def _resolve_pattern(args) -> tuple[Pattern, int]:
-    if getattr(args, "family", None):
+    if args.family and args.pattern:
+        raise ValueError("give --pattern or --family, not both")
+    if args.family:
         I, n = parse_family(args.family)
-        if getattr(args, "n", None) not in (None, n):
+        if args.n not in (None, n):
             raise ValueError(f"--family {args.family} fixes n = {n}, not {args.n}")
         return I, n
-    if getattr(args, "pattern", None):
+    if args.pattern:
         if args.n is None:
             raise ValueError("--pattern needs --n")
         I = Pattern.from_json(json.loads(args.pattern))

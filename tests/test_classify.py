@@ -6,8 +6,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from zeropat import classify
 from zeropat.classify import (
     EXCEPTIONAL_4,
     audit_exceptional4,
@@ -18,6 +20,7 @@ from zeropat.classify import (
     complexity_one_case_b,
     enumerate_strict,
     j_family_class_report,
+    offdiag_cells,
     scan_extremal,
     search_nonsingular_extension,
     strict_count,
@@ -76,6 +79,36 @@ def weak_canonical_form_by_permutation_loop(I, n):
         if best is None or v < best:
             best = v
     return best
+
+
+def strict_masks_by_combinations(n):
+    """Oracle for _strict_masks: the sorted masks of every mu(n)-subset of
+    the off-diagonal cells, listed by itertools.combinations."""
+    cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
+    flat = itertools.chain.from_iterable(itertools.combinations(cells, mu(n)))
+    combos = np.fromiter(flat, dtype=np.uint64).reshape(-1, mu(n))
+    return np.sort((np.uint64(1) << combos).sum(axis=1))
+
+
+def orbit_images_by_gather(mask, n):
+    """Oracle for the image-power matrix: the images of a mask gathered cell
+    by cell through the group table, in the same group order."""
+    powers = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
+    return classify._cell_bits(mask, n)[classify._group_table(n)] @ powers
+
+
+def class_walk_by_entry_loop(n):
+    """Oracle for _class_walk: every strict mask in turn, and for each one
+    not yet visited its gathered orbit, deduplicated by np.unique."""
+    masks = strict_masks_by_combinations(n)
+    visited = np.zeros(masks.size, dtype=bool)
+    classes = []
+    for k in range(masks.size):
+        if not visited[k]:
+            orbit = np.unique(orbit_images_by_gather(int(masks[k]), n))
+            visited[np.searchsorted(masks, orbit)] = True
+            classes.append((int(masks[k]), int(orbit.size)))
+    return classes
 
 
 def class_count_by_burnside(n):
@@ -159,6 +192,37 @@ def test_enumeration_counts():
         next(enumerate_strict(6))
 
 
+def test_strict_masks_match_the_combinations():
+    for n in (2, 3, 4, 5):
+        masks = classify._strict_masks(n)
+        assert masks.dtype == np.uint64
+        assert np.array_equal(masks, strict_masks_by_combinations(n))
+
+
+def test_image_matrices_match_the_gather_table():
+    rng = random.Random(5)
+    for n in range(2, 9):
+        P, W = classify._image_matrices(n)
+        assert P.shape == W.shape == (n * n, 2 * math.factorial(n))
+        masks = [rng.getrandbits(n * n) for _ in range(2 if n == 8 else 12)]
+        for m in masks + [0, (1 << n * n) - 1]:
+            images = orbit_images_by_gather(m, n)
+            assert np.array_equal(classify._cell_bits(m, n) @ P, images)
+            # the flip code of the mask alone is the least weak code over its
+            # gathered orbit
+            weak = classify._cell_bits(images, n) @ classify._weak_weights(n)
+            assert classify._weak_code(m, n) == int(weak.min())
+
+
+def test_class_walk_matches_the_entry_loop(monkeypatch):
+    for n in (2, 3, 4, 5):
+        assert list(classify._class_walk(n)) == class_walk_by_entry_loop(n)
+    # chunk boundaries everywhere: an orbit met earlier in a chunk must not
+    # be walked again from a later entry of the same chunk
+    monkeypatch.setattr(classify, "_WALK_CHUNK", 7)
+    assert list(classify._class_walk(4)) == class_walk_by_entry_loop(4)
+
+
 def test_enumeration_is_strict_and_unique():
     seen = set(enumerate_strict(3))
     assert len(seen) == 20
@@ -192,10 +256,12 @@ def test_canonical_forms_match_the_permutation_loops():
     for I, n in cases:
         assert canonical_form(I, n) == canonical_form_by_permutation_loop(I, n)
         assert weak_canonical_form(I, n) == weak_canonical_form_by_permutation_loop(I, n)
-    with pytest.raises(ValueError):
-        canonical_form(Pattern([(1, 9)]), 9)
-    with pytest.raises(ValueError):
-        weak_canonical_form(Pattern([(1, 9)]), 9)
+    # a mask past 64 bits is refused before its bits are taken
+    for I in (Pattern([(1, 9)]), Pattern([(9, 9)])):
+        with pytest.raises(ValueError):
+            canonical_form(I, 9)
+        with pytest.raises(ValueError):
+            weak_canonical_form(I, 9)
 
 
 def test_canonical_form_distinct_count_n3():

@@ -141,10 +141,13 @@ def test_verify_unknown_suite_rejected(capsys):
      "--family cyclic fixes n = 3, not 7"),
     (["stabdim", "--family", "lambda:4", "--n", "6"],
      "--family lambda:4 fixes n = 4, not 6"),
+    (["pair", "--family", "lambda:4", "--pattern", "[[1,2]]", "--n", "4",
+      "--format", "text"], "give --pattern or --family, not both"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
-        "n-against-the-family-pair", "n-against-the-family-stabdim"])
+        "n-against-the-family-pair", "n-against-the-family-stabdim",
+        "family-and-pattern"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
