@@ -14,7 +14,6 @@ normalized to unit Frobenius norm before thresholding.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -400,9 +399,11 @@ def _pattern_jacobian(B: np.ndarray, rows, cols, basis: np.ndarray) -> np.ndarra
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
 
-#: starts reduced together in one call of gauss_newton_reduce: a fixed block
-#: bounds the memory of the stacked arrays whatever the restart budget
-_BLOCK = 256
+#: live starts that one Gauss-Newton iteration reduces together: the first
+#: _BLOCK in restart order, refilled as starts finish.  A fixed window bounds
+#: the memory of the stacked Jacobians and trial matrices whatever the restart
+#: budget, and refilling keeps it full while slow starts run to max_iter
+_BLOCK = 512
 
 #: squared pattern residual at or below which a reduction has converged
 RESID_TOL = 1e-18
@@ -489,6 +490,17 @@ def _conjugates(A: np.ndarray, U: np.ndarray) -> np.ndarray:
     return U.conj().swapaxes(-1, -2) @ A @ U
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for small square matrices or stacks of them, as a sum of n
+    broadcast outer products.  numpy's stacked matmul hands the products to
+    BLAS one matrix at a time, which costs several times more per 3 x 3
+    product than these few array operations over the whole stack."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
 def _residuals(B: np.ndarray, rows, cols) -> np.ndarray:
     """Stacked real and imaginary parts of the pattern entries, one row per
     matrix of the stack B."""
@@ -559,8 +571,12 @@ def gauss_newton_reduce(
     for the first pattern of EXCEPTIONAL_4.  The step is halved up to nine
     times until the residual strictly drops.  A start stops when its
     residual is at most RESID_TOL, when no step length lowers it, or after
-    max_iter steps.  The starts share no state: each follows the path
-    it would follow alone.
+    max_iter attempted steps.
+
+    Each iteration steps the first _BLOCK live starts in restart order, so
+    the window refills from the waiting starts as others stop, and the
+    stacked arrays never hold more than _BLOCK starts.  The starts share no
+    state: each follows the path it would follow alone, whatever the window.
 
     Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
     each, their squared residuals and the number of steps each start took.
@@ -574,25 +590,27 @@ def gauss_newton_reduce(
     r = _residuals(B, rows, cols)
     r2 = np.einsum("ri,ri->r", r, r)
     steps = np.zeros(len(U), dtype=np.intp)
+    tried = np.zeros(len(U), dtype=np.intp)
     live = np.ones(len(U), dtype=bool)
-    for _ in range(max_iter):
-        live &= r2 > RESID_TOL
-        idx = np.flatnonzero(live)
+    while True:
+        live &= (r2 > RESID_TOL) & (tried < max_iter)
+        idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
         J = _pattern_jacobian(B[idx], rows, cols, basis)
         coef, _ = _min_norm_steps(J, r[idx])
         X = np.tensordot(coef, basis, axes=(1, 0))
-        # exp(t X) = V diag(e^{i t w}) V* from one eigh of the hermitian -iX
+        # exp(t X) = V diag(e^{i t w}) V* from one eigh of the hermitian -iX,
+        # so a trial point is U exp(t X) = (U V) diag(e^{i t w}) V*
         w, V = np.linalg.eigh(-1j * X)
+        UV = _mm(U[idx], V)
+        Vh = V.conj().swapaxes(-1, -2)
         searching = np.ones(idx.size, dtype=bool)
         step = 1.0
         for _ in range(10):
             k = np.flatnonzero(searching)
-            Vk = V[k]
-            G = (Vk * np.exp(1j * (step * w[k]))[:, None, :]) @ Vk.conj().swapaxes(-1, -2)
-            U2 = U[idx[k]] @ G
-            B2 = _conjugates(A, U2)
+            U2 = _mm(UV[k] * np.exp(1j * (step * w[k]))[:, None, :], Vh[k])
+            B2 = _mm(U2.conj().swapaxes(-1, -2), _mm(A, U2))
             rr = _residuals(B2, rows, cols)
             rr2 = np.einsum("ri,ri->r", rr, rr)
             better = rr2 < r2[idx[k]]
@@ -604,6 +622,7 @@ def gauss_newton_reduce(
             if not searching.any():
                 break
             step *= 0.5
+        tried[idx] += 1
         steps[idx[~searching]] += 1
         live[idx[searching]] = False
     W, _, Vh = np.linalg.svd(U)
@@ -611,16 +630,6 @@ def gauss_newton_reduce(
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
     return U, B, np.einsum("ri,ri->r", r, r), steps
-
-
-def _reduce_blocks(A, rng, restarts: int, positions, max_iter: int):
-    """Run ``restarts`` Haar-random starts through gauss_newton_reduce in
-    blocks of _BLOCK, yielding (index of the block's first restart, reducer
-    output) per block.  The starts are drawn block by block, which gives the
-    same unitaries as drawing them all at once."""
-    for lo in range(0, restarts, _BLOCK):
-        starts = haar_unitaries(rng, min(_BLOCK, restarts - lo), A.shape[0])
-        yield lo, gauss_newton_reduce(A, starts, positions, max_iter)
 
 
 def numeric_reduce(
@@ -634,9 +643,10 @@ def numeric_reduce(
 
     Each restart takes up to 80 Gauss-Newton steps on A normalized to unit
     norm and has converged when its squared residual is at most RESID_TOL.
-    Returns the first converged restart in restart order.  Success is
-    evidence of orbit intersection; failure after the restart budget is
-    evidence of nothing.
+    All restarts are reduced in one ``gauss_newton_reduce`` call, and the
+    first converged one in restart order is returned.  Success is evidence
+    of orbit intersection; failure after the restart budget is evidence of
+    nothing.
     """
     if n not in (2, 3, 4):
         raise ValueError("reducer is budgeted for n in {2, 3, 4}")
@@ -647,13 +657,13 @@ def numeric_reduce(
     s = float(np.linalg.norm(A))
     if s == 0.0:
         return FlagSolution(np.eye(n, dtype=complex), A.copy(), 0.0)
-    rng = np.random.default_rng(seed)
-    for _, (U, _, res, _) in _reduce_blocks(A / s, rng, restarts, list(I), 80):
-        hit = np.flatnonzero(res <= RESID_TOL)
-        if hit.size:
-            U = U[hit[0]].copy()
-            return FlagSolution(U, U.conj().T @ A @ U, float(res[hit[0]]) * s * s)
-    return None
+    starts = haar_unitaries(np.random.default_rng(seed), restarts, n)
+    U, _, res, _ = gauss_newton_reduce(A / s, starts, list(I), 80)
+    hit = np.flatnonzero(res <= RESID_TOL)
+    if hit.size == 0:
+        return None
+    U = U[hit[0]].copy()
+    return FlagSolution(U, U.conj().T @ A @ U, float(res[hit[0]]) * s * s)
 
 
 def _torus_invariants(B: np.ndarray):
@@ -715,29 +725,6 @@ def _torus_clusters(B: np.ndarray) -> np.ndarray:
     return labels
 
 
-def torus_equivalent_grid(B, C, steps: int = 600, tol: float = 1e-6) -> bool:
-    """Brute-force arbiter: scan diagonal unitaries diag(1, e^ia, e^ib) on a
-    grid and compare conjugates directly."""
-    B = np.asarray(B, dtype=complex)
-    C = np.asarray(C, dtype=complex)
-    angles = np.linspace(0, 2 * math.pi, steps, endpoint=False)
-    best = np.inf
-    for a in angles:
-        ea = cmath.exp(1j * a)
-        # conjugation by diag(1, ea, eb) sends entry (i,j) to t_j/t_i scale
-        # entries: (0,1): ea, (1,2): eb/ea, (2,0): 1/eb
-        # match (0,1) exactly when possible, leaving a 1-parameter scan
-        D = np.array([1.0 + 0j, ea, 1.0 + 0j])
-        for b in angles:
-            D[2] = cmath.exp(1j * b)
-            T = np.diag(D)
-            M = np.linalg.inv(T) @ B @ T
-            best = min(best, float(np.max(np.abs(M - C))))
-            if best < tol:
-                return True
-    return False
-
-
 def count_flags(
     A,
     restarts: int = 2000,
@@ -753,8 +740,9 @@ def count_flags(
     clustered by ``torus_equivalent``.  The count equals the number of flags
     reducing A into the subspace when every intersection point is
     transversal; a sample with a cluster whose |P1| is below 1e-6 is marked
-    non-generic.  The clusters are grouped by P1 rounded to TORUS_TOL.  The
-    restarts run in blocks of fixed size; the outputs do not depend on it.
+    non-generic.  The clusters are grouped by P1 rounded to TORUS_TOL.  All
+    restarts go through one ``gauss_newton_reduce`` call, which steps at most
+    _BLOCK of them at a time; the outputs do not depend on _BLOCK.
     """
     if restarts < 1:
         raise ValueError("count_flags needs at least one restart")
@@ -764,17 +752,10 @@ def count_flags(
     if s == 0.0:
         raise ValueError("zero matrix")
     A = A / s
-    rng = np.random.default_rng(seed)
-    ends, converged, steps = [], [], []
-    for lo, (U, B, res, taken) in _reduce_blocks(
-        A, rng, restarts, list(CYCLIC_PATTERN), 60
-    ):
-        ok = np.flatnonzero(res <= RESID_TOL)
-        ends.append((U[ok], B[ok], res[ok]))
-        converged.append(lo + ok)
-        steps.append(taken)
-    U, B, res = (np.concatenate(part) for part in zip(*ends))
-    converged = np.concatenate(converged)
+    starts = haar_unitaries(np.random.default_rng(seed), restarts, 3)
+    U, B, res, taken = gauss_newton_reduce(A, starts, list(CYCLIC_PATTERN), 60)
+    converged = np.flatnonzero(res <= RESID_TOL)
+    U, B, res = U[converged], B[converged], res[converged]
     labels = _torus_clusters(B)
     first = np.unique(labels, return_index=True)[1]
     # copies, so a census does not keep every endpoint of the run alive
@@ -811,7 +792,7 @@ def count_flags(
         p1_group_sizes=sorted(groups.values(), reverse=True),
         incomplete=incomplete,
         last_new_cluster=int(converged[first[-1]]) if reps else None,
-        gn_iterations=np.bincount(np.concatenate(steps)).tolist(),
+        gn_iterations=np.bincount(taken).tolist(),
     )
 
 

@@ -135,14 +135,19 @@ class Pattern:
 
     @staticmethod
     def from_mask(mask: int, n: int) -> "Pattern":
+        """The pattern whose occupancy bitmask over the n x n grid is the
+        Python int ``mask``, the inverse of ``mask(n)``.  Only the set bits
+        are visited, and their positions are valid by construction, so the
+        checks of ``Pattern(...)`` are skipped."""
         pos = []
-        k = 0
         while mask:
-            if mask & 1:
-                pos.append((k // n + 1, k % n + 1))
-            mask >>= 1
-            k += 1
-        return Pattern(pos)
+            low = mask & -mask
+            i, j = divmod(low.bit_length() - 1, n)
+            pos.append((i + 1, j + 1))
+            mask ^= low
+        I = Pattern.__new__(Pattern)
+        I._positions = frozenset(pos)
+        return I
 
     def to_json(self) -> list[list[int]]:
         return [[i, j] for i, j in self.positions]

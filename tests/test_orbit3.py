@@ -26,7 +26,6 @@ from zeropat.orbit3 import (
     random_traceless,
     skew_hermitian_basis,
     torus_equivalent,
-    torus_equivalent_grid,
     _p_expanded,
 )
 from zeropat.patterns import ne
@@ -124,6 +123,7 @@ def test_torus_equivalence():
     assert torus_equivalent_grid(B, C, steps=180, tol=1e-2)
     D = random_cyclic_subspace(rng)
     assert not torus_equivalent(B, D)
+    assert not torus_equivalent_grid(B, D, steps=180, tol=1e-2)
 
 
 def test_count_flags_basic():
@@ -276,6 +276,23 @@ def torus_equivalent_scalar(B, C, tol=1e-7):
     pb = B[0, 1] * B[1, 2] * B[2, 0]
     pc = C[0, 1] * C[1, 2] * C[2, 0]
     return abs(pb / abs(pb) - pc / abs(pc)) < 100 * tol
+
+
+def torus_equivalent_grid(B, C, steps=600, tol=1e-6):
+    """Brute-force oracle for torus_equivalent: scan diagonal unitaries
+    diag(1, e^ia, e^ib) on a grid and compare the conjugates directly."""
+    B = np.asarray(B, dtype=complex)
+    C = np.asarray(C, dtype=complex)
+    angles = np.linspace(0, 2 * np.pi, steps, endpoint=False)
+    D = np.ones((steps, 3), dtype=complex)
+    D[:, 2] = np.exp(1j * angles)
+    for a in angles:
+        D[:, 1] = np.exp(1j * a)
+        # diag(D)^-1 B diag(D) scales entry (i, j) by D_j / D_i
+        M = B * D[:, None, :] / D[:, :, None]
+        if (np.abs(M - C).max(axis=(1, 2)) < tol).any():
+            return True
+    return False
 
 
 def greedy_clusters(mats, tol=1e-7):
@@ -432,8 +449,63 @@ def test_count_flags_does_not_depend_on_the_block_size(monkeypatch):
         assert_same_census(count_flags(A, restarts=300, seed=4), want, 0.0)
 
 
-@pytest.mark.parametrize("case", ["triangular", "exceptional"])
-def test_numeric_reduce_matches_the_restart_loop(case):
+def test_the_window_bounds_the_stacked_jacobians(monkeypatch):
+    # panel matrix 2 has many restarts that run to max_iter, so the window
+    # refills while slow restarts hold their places in it
+    rows = []
+    solve = orbit3._min_norm_steps
+
+    def recording(J, r):
+        rows.append(len(J))
+        return solve(J, r)
+
+    monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
+    monkeypatch.setattr(orbit3, "_BLOCK", 16)
+    count_flags(flags3_panel(2), restarts=100, seed=2)
+    assert max(rows) == 16
+
+
+def test_each_start_keeps_its_own_step_budget_in_the_window(monkeypatch):
+    # with 3 steps each, most of the 40 starts stop on the budget, in an
+    # order the window does not see; each must still stop where it would alone
+    monkeypatch.setattr(orbit3, "_BLOCK", 16)
+    A = flags3_panel(0)
+    starts = haar_unitaries(np.random.default_rng(3), 40, 3)
+    U, _, res, steps = orbit3.gauss_newton_reduce(A, starts, list(CYCLIC_PATTERN), 3)
+    assert (res > 1e-18).sum() > 20
+    for k in range(40):
+        want, taken = gauss_newton_one_start(A, starts[k], list(CYCLIC_PATTERN), 3)
+        assert steps[k] == taken
+        assert np.max(np.abs(U[k] - want.unitary)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mm_matches_matmul(n):
+    rng = np.random.default_rng(50 + n)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b, M = cx(30, n, n), cx(30, n, n), cx(n, n)
+    for x, y in ((a, b), (M, b), (a, M)):
+        want = x @ y
+        got = orbit3._mm(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [
+        pytest.param("triangular", None, id="triangular"),
+        pytest.param("exceptional", None, id="exceptional"),
+        # restart 0 fails, and the window refills many times over 100 restarts
+        pytest.param("exceptional", 16, id="exceptional-block16"),
+    ],
+)
+def test_numeric_reduce_matches_the_restart_loop(case, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(orbit3, "_BLOCK", block)
     rng = np.random.default_rng(30)
     if case == "triangular":
         n, I = 3, ne(3)

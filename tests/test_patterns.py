@@ -253,6 +253,17 @@ def test_mask_roundtrip():
     for _ in range(20):
         I = random_strict(rng, 5)
         assert Pattern.from_mask(I.mask(5), 5) == I
+    for n in range(2, 9):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for I in (Pattern(), Pattern(cells), random_strict(rng, n)):
+            mask = I.mask(n)
+            J = Pattern.from_mask(mask, n)
+            assert J == I and hash(J) == hash(I) and J.mask(n) == mask
+        full = (1 << (n * n)) - 1
+        assert Pattern.from_mask(full, n) == Pattern(cells)
+        for _ in range(10):
+            mask = rng.getrandbits(n * n)
+            assert Pattern.from_mask(mask, n).mask(n) == mask
 
 
 def test_family_parsing():
