@@ -466,8 +466,9 @@ def test_the_window_bounds_the_stacked_jacobians(monkeypatch):
 
 
 def test_each_start_keeps_its_own_step_budget_in_the_window(monkeypatch):
-    # with 3 steps each, most of the 40 starts stop on the budget, in an
-    # order the window does not see; each must still stop where it would alone
+    # with a budget of 3 steps, most of the 40 starts stop on it while later
+    # ones wait for their place in the window; each must stop where it would
+    # stop alone
     monkeypatch.setattr(orbit3, "_BLOCK", 16)
     A = flags3_panel(0)
     starts = haar_unitaries(np.random.default_rng(3), 40, 3)
