@@ -382,19 +382,21 @@ def is_transversal_at(A) -> bool:
     if s == 0.0:
         return False
     rows, cols = np.array(list(CYCLIC_PATTERN), dtype=np.intp).T - 1
-    J = _pattern_jacobian((A / s)[None], rows, cols, skew_hermitian_basis(3))[0]
+    J = _pattern_jacobian((A / s)[..., None], rows, cols, skew_hermitian_basis(3))
+    J = J[..., 0]
     return bool(np.linalg.svd(J, compute_uv=False)[-1] > 1e-8)
 
 
 def _pattern_jacobian(B: np.ndarray, rows, cols, basis: np.ndarray) -> np.ndarray:
     """Jacobian of the real and imaginary parts of the pattern entries of
-    exp(-S) B exp(S) at S = 0, for each matrix of the stack B, in the
-    coordinates of the skew-hermitian basis: shape (R, 2k, n^2)."""
+    exp(-S) B exp(S) at S = 0, for each matrix of the stack B of shape
+    (n, n, R), in the coordinates of the skew-hermitian basis: shape
+    (2k, n^2, R)."""
     # d[B, S]_pq / dS_kl = B_pk [l = q] - [k = p] B_lq, contracted with
     # each basis matrix S_b at the pattern positions (p, q)
-    Jc = np.einsum("rik,bki->rib", B[:, rows, :], basis[:, :, cols])
-    Jc -= np.einsum("bil,rli->rib", basis[:, rows, :], B[:, :, cols])
-    return np.concatenate([Jc.real, Jc.imag], axis=1)
+    Jc = np.einsum("ikr,bki->ibr", B[rows], basis[:, :, cols])
+    Jc -= np.einsum("bil,lir->ibr", basis[:, rows, :], B[:, cols])
+    return np.concatenate([Jc.real, Jc.imag])
 
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
@@ -485,49 +487,152 @@ def random_cyclic_subspace(rng) -> np.ndarray:
     return A / np.linalg.norm(A)
 
 
-def _conjugates(A: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U* A U for a stack of unitaries U."""
-    return U.conj().swapaxes(-1, -2) @ A @ U
+# The reducer keeps a stack of R small n x m matrices as an (n, m, R) array,
+# the stack axis last: every elementwise operation then runs over the whole
+# stack in one inner loop, where a leading stack axis gives inner loops of
+# length m.  A single matrix enters a product with such stacks as (n, m, 1).
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for small square matrices or stacks of them, as a sum of n
-    broadcast outer products.  numpy's stacked matmul hands the products to
-    BLAS one matrix at a time, which costs several times more per 3 x 3
-    product than these few array operations over the whole stack."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    """a @ b for stacks of small matrices of shapes (n, l, ...) and
+    (l, m, ...), with broadcasting stack axes, as a sum of l broadcast outer
+    products.  numpy's stacked matmul hands the products to BLAS one matrix
+    at a time, which costs several times more per 3 x 3 product than these
+    few array operations over the whole stack."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[k]
     return out
 
 
+def _adjoint(U: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack."""
+    return U.conj().swapaxes(0, 1)
+
+
+def _conjugates(A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U* A U for a stack of unitaries U of shape (n, n, R)."""
+    return _mm(_adjoint(U), _mm(A[..., None], U))
+
+
+def _det3(M: np.ndarray) -> np.ndarray:
+    """Determinant of each 3 x 3 matrix of the stack M, by cofactors along
+    the first row."""
+    return (
+        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+    )
+
+
+def _eigh_trials(U: np.ndarray, X: np.ndarray):
+    """The map (t, k) -> U[..., k] exp(t X[..., k]) for a stack U of n x n
+    unitaries and a stack X of skew-hermitian matrices, from one eigh of the
+    hermitian -iX: exp(t X) = V diag(e^{i t w}) V*, so a trial point is
+    (U V) diag(e^{i t w}) V*."""
+    w, V = np.linalg.eigh(-1j * X.transpose(2, 0, 1))
+    V = np.ascontiguousarray(V.transpose(1, 2, 0))
+    UV, Vh, w = _mm(U, V), _adjoint(V), np.ascontiguousarray(w.T)
+    return lambda t, k: _mm(UV[..., k] * np.exp(1j * t * w[:, k]), Vh[..., k])
+
+
+def _exp3_trials(U: np.ndarray, X: np.ndarray):
+    """The map (t, k) -> U[..., k] exp(t X[..., k]) for stacks of 3 x 3
+    matrices, in the closed form of Morningstar and Peardon (Phys. Rev. D
+    69, 054501, 2004), with no per-matrix LAPACK call.
+
+    With H = -iX = a I + H0, H0 traceless, exp(t X) = e^{i t a} (f0 I +
+    f1 t H0 + f2 t^2 H0^2).  The eigenvalues of H0 are 2u and -u +- w, with
+    c1 = tr H0^2 / 2, c0 = det H0, theta = arccos(|c0| / (2 (c1/3)^(3/2))),
+    u = sign(c0) sqrt(c1/3) cos(theta/3) and w = sqrt(c1) sin(theta/3):
+    carrying the sign of c0 in u takes the place of the paper's conjugation
+    for c0 < 0, and keeps D = 9u^2 - w^2 >= 8u^2.  With E = e^{i t (a + 2u)}
+    and F = e^{i t (a - u)}, the exponentials of the eigenvalue 2u and of the
+    mean of the other two, and S = sin(t w) / w,
+
+        D f0 = (u^2 - w^2) E + F (8u^2 cos(t w) + 2i u (3u^2 + w^2) S)
+        D f1 t = 2u E - F (2u cos(t w) - i (3u^2 - w^2) S)
+        D f2 t^2 = E - F (cos(t w) + 3i u S),
+
+    so U exp(t X) = E N0 + F cos(t w) N1 + F S N2 with three matrices per
+    start that do not depend on t: a trial length only scales a + 2u, a - u
+    and w.  S is t where w = 0: a computed w of 0 may stand for a true split
+    of about sqrt(eps) |H0|, whose N2 term S keeps.  A zero H0 (possible on
+    the SVD step) gives f = (1, 0, 0), so X = 0 gives U exactly."""
+    H = -1j * X
+    a = np.trace(H).real / 3
+    H0 = H - np.eye(3)[..., None] * a
+    H0sq = _mm(H0, H0)
+    c1 = np.trace(H0sq).real / 2
+    c0 = _det3(H0).real
+    r = np.sqrt(c1 / 3)
+    cmax = 2 * r**3
+    ratio = np.divide(np.abs(c0), cmax, out=np.zeros_like(c0), where=cmax > 0)
+    theta = np.arccos(np.minimum(ratio, 1.0)) / 3
+    u = np.copysign(r * np.cos(theta), c0)
+    w = np.sqrt(c1) * np.sin(theta)
+    uu, ww = u * u, w * w
+    D = 9 * uu - ww
+    flat = D == 0
+    inv = np.divide(1.0, D, out=np.zeros_like(D), where=~flat)
+    one = np.ones_like(u)
+    # K[j, i] is the coefficient of the j-th of E, F cos(t w), F S in
+    # f_i t^i, and f0 = E where H0 = 0
+    K = inv * np.array(
+        [
+            [uu - ww, 2 * u, one],
+            [8 * uu, -2 * u, -one],
+            [2j * u * (3 * uu + ww), 1j * (3 * uu - ww), -3j * u],
+        ]
+    )
+    K[0, 0] += flat
+    N = _mm(K, np.stack([U, _mm(U, H0), _mm(U, H0sq)]).reshape(3, 9, -1))
+    # the columns a trial length t scales: a + 2u, a - u, w, and the S of
+    # w = 0
+    still = w == 0
+    C = np.stack([a + 2 * u, a - u, w, still])
+    winv = 1 / np.where(still, 1.0, w)
+
+    def trial(t, k):
+        top, mid, tw, s0 = C[:, k] * t
+        F = np.exp(1j * mid)
+        Nk = N[..., k]
+        U2 = np.exp(1j * top) * Nk[0]
+        U2 += F * np.cos(tw) * Nk[1]
+        U2 += F * (np.sin(tw) * winv[k] + s0) * Nk[2]
+        return U2.reshape(3, 3, -1)
+
+    return trial
+
+
 def _residuals(B: np.ndarray, rows, cols) -> np.ndarray:
-    """Stacked real and imaginary parts of the pattern entries, one row per
-    matrix of the stack B."""
-    vals = B[:, rows, cols]
-    return np.concatenate([vals.real, vals.imag], axis=1)
+    """Stacked real and imaginary parts of the pattern entries, one column
+    per matrix of the stack B."""
+    vals = B[rows, cols]
+    return np.concatenate([vals.real, vals.imag])
 
 
 def _min_norm_steps(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solutions x of J x = -r for a stack J of
-    shape (R, m, d) with m <= d, as ``lstsq(J, -r, rcond=None)`` gives them.
+    shape (m, d, R) with m <= d and r of shape (m, R), as
+    ``lstsq(J, -r, rcond=None)`` gives them.
 
     A Jacobian of full row rank has x = J^T y with (J J^T) y = -r, solved by
     a Cholesky of the m x m Gram matrix done column by column across the
-    stack.  A Jacobian with a pivot below _GRAM_PIVOT times the mean Gram
+    stack; the Gram matrices come from one einsum, not a stacked matmul,
+    which would call BLAS once per matrix.  A Jacobian with a pivot below _GRAM_PIVOT times the mean Gram
     diagonal may be rank-deficient, where only a truncated SVD gives the
-    right step; the SVD runs on those rows alone.  Returns (x, svd_rows),
-    the steps and the mask of the rows the SVD solved."""
-    m = J.shape[1]
-    G = J @ J.swapaxes(1, 2)
-    # [G | -r] with the stack axis last, eliminated in place: row j ends as
-    # row j of L^T followed by the forward solution z_j of L z = -r
-    T = np.empty((m, m + 1, len(J)))
-    T[:, :m] = G.transpose(1, 2, 0)
-    T[:, m] = -r.T
-    floor = _GRAM_PIVOT * np.trace(G, axis1=1, axis2=2) / m
-    ok = np.ones(len(J), dtype=bool)
-    diag = np.empty((m, len(J)))
+    right step; the SVD runs on those starts alone.  Returns (x, svd_rows),
+    the steps of shape (d, R) and the mask of the starts the SVD solved."""
+    m, R = J.shape[0], J.shape[2]
+    # [G | -r], eliminated in place: row j ends as row j of L^T followed by
+    # the forward solution z_j of L z = -r
+    T = np.empty((m, m + 1, R))
+    T[:, :m] = np.einsum("ibr,jbr->ijr", J, J)
+    T[:, m] = -r
+    floor = _GRAM_PIVOT * np.trace(T[:, :m]) / m
+    ok = np.ones(R, dtype=bool)
+    diag = np.empty((m, R))
     for j in range(m):
         ok &= T[j, j] > floor
         diag[j] = np.sqrt(np.where(ok, T[j, j], 1.0))
@@ -538,15 +643,17 @@ def _min_norm_steps(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for j in range(m - 1, -1, -1):
         y[j] /= diag[j]
         y[:j] -= T[:j, j] * y[j]
-    x = np.einsum("rib,ir->rb", J, y)
+    x = np.einsum("ibr,ir->br", J, y)
     svd_rows = ~ok
     if svd_rows.any():
         # truncated where lstsq(rcond=None) truncates
-        W, sv, Vh = np.linalg.svd(J[svd_rows], full_matrices=False)
-        cut = np.finfo(float).eps * max(J.shape[1:]) * sv[:, :1]
+        W, sv, Vh = np.linalg.svd(
+            J[..., svd_rows].transpose(2, 0, 1), full_matrices=False
+        )
+        cut = np.finfo(float).eps * max(J.shape[:2]) * sv[:, :1]
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cut)
-        Wr = np.einsum("rim,ri->rm", W, r[svd_rows])
-        x[svd_rows] = -np.einsum("rmb,rm->rb", Vh, inv * Wr)
+        Wr = np.einsum("rim,ir->rm", W, r[:, svd_rows])
+        x[:, svd_rows] = -np.einsum("rmb,rm->br", Vh, inv * Wr)
     return x, svd_rows
 
 
@@ -573,10 +680,21 @@ def gauss_newton_reduce(
     residual is at most RESID_TOL, when no step length lowers it, or after
     max_iter attempted steps.
 
-    Each iteration steps the first _BLOCK live starts in restart order, so
-    the window refills from the waiting starts as others stop, and the
-    stacked arrays never hold more than _BLOCK starts.  The starts share no
-    state: each follows the path it would follow alone, whatever the window.
+    A trial point U exp(t X) comes at n = 3 from the closed-form exponential
+    of ``_exp3_trials``, whose t-independent matrices are formed once per
+    iteration, so a step length only rescales two phases and one angle; the
+    ``eigh`` of -iX (``_eigh_trials``) runs only at other n, i.e. for
+    ``numeric_reduce`` at n = 2 and n = 4.  The endpoints are re-unitarized
+    by one Newton-Schulz step U <- (3 U - U U* U) / 2 toward the polar
+    factor.  At n = 3 an iteration makes no per-matrix LAPACK or BLAS call
+    unless a rank-deficient Jacobian takes the SVD step.
+
+    The stacks are held with the stack axis last (see ``_mm``) and returned
+    with it first.  Each iteration steps the first _BLOCK live starts in
+    restart order, so the window refills from the waiting starts as others
+    stop, and the stacked arrays never hold more than _BLOCK starts.  The
+    starts share no state: each follows the path it would follow alone,
+    whatever the window.
 
     Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
     each, their squared residuals and the number of steps each start took.
@@ -585,38 +703,35 @@ def gauss_newton_reduce(
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
     cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
     basis = skew_hermitian_basis(n)
-    U = np.array(U0, dtype=complex)
+    U = np.array(np.moveaxis(U0, 0, -1), dtype=complex)
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
-    r2 = np.einsum("ri,ri->r", r, r)
-    steps = np.zeros(len(U), dtype=np.intp)
-    tried = np.zeros(len(U), dtype=np.intp)
-    live = np.ones(len(U), dtype=bool)
+    r2 = np.einsum("ir,ir->r", r, r)
+    R = U.shape[-1]
+    steps = np.zeros(R, dtype=np.intp)
+    tried = np.zeros(R, dtype=np.intp)
+    live = np.ones(R, dtype=bool)
     while True:
         live &= (r2 > RESID_TOL) & (tried < max_iter)
         idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
-        J = _pattern_jacobian(B[idx], rows, cols, basis)
-        coef, _ = _min_norm_steps(J, r[idx])
-        X = np.tensordot(coef, basis, axes=(1, 0))
-        # exp(t X) = V diag(e^{i t w}) V* from one eigh of the hermitian -iX,
-        # so a trial point is U exp(t X) = (U V) diag(e^{i t w}) V*
-        w, V = np.linalg.eigh(-1j * X)
-        UV = _mm(U[idx], V)
-        Vh = V.conj().swapaxes(-1, -2)
+        J = _pattern_jacobian(B[..., idx], rows, cols, basis)
+        coef, _ = _min_norm_steps(J, r[:, idx])
+        X = np.einsum("bij,br->ijr", basis, coef)
+        trial = (_exp3_trials if n == 3 else _eigh_trials)(U[..., idx], X)
         searching = np.ones(idx.size, dtype=bool)
         step = 1.0
         for _ in range(10):
             k = np.flatnonzero(searching)
-            U2 = _mm(UV[k] * np.exp(1j * (step * w[k]))[:, None, :], Vh[k])
-            B2 = _mm(U2.conj().swapaxes(-1, -2), _mm(A, U2))
+            U2 = trial(step, k)
+            B2 = _conjugates(A, U2)
             rr = _residuals(B2, rows, cols)
-            rr2 = np.einsum("ri,ri->r", rr, rr)
+            rr2 = np.einsum("ir,ir->r", rr, rr)
             better = rr2 < r2[idx[k]]
             took = idx[k[better]]
-            U[took], B[took], r[took], r2[took] = (
-                U2[better], B2[better], rr[better], rr2[better]
+            U[..., took], B[..., took], r[:, took], r2[took] = (
+                U2[..., better], B2[..., better], rr[:, better], rr2[better]
             )
             searching[k[better]] = False
             if not searching.any():
@@ -625,11 +740,17 @@ def gauss_newton_reduce(
         tried[idx] += 1
         steps[idx[~searching]] += 1
         live[idx[searching]] = False
-    W, _, Vh = np.linalg.svd(U)
-    U = W @ Vh
+    # one Newton-Schulz step toward the polar factor: the endpoints are
+    # unitary to about 1e-15, so one step reaches it to rounding
+    U = 1.5 * U - 0.5 * _mm(U, _mm(_adjoint(U), U))
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
-    return U, B, np.einsum("ri,ri->r", r, r), steps
+    return (
+        np.ascontiguousarray(np.moveaxis(U, -1, 0)),
+        np.ascontiguousarray(np.moveaxis(B, -1, 0)),
+        np.einsum("ir,ir->r", r, r),
+        steps,
+    )
 
 
 def numeric_reduce(

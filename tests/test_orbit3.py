@@ -456,7 +456,7 @@ def test_the_window_bounds_the_stacked_jacobians(monkeypatch):
     solve = orbit3._min_norm_steps
 
     def recording(J, r):
-        rows.append(len(J))
+        rows.append(J.shape[-1])
         return solve(J, r)
 
     monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
@@ -480,6 +480,12 @@ def test_each_start_keeps_its_own_step_budget_in_the_window(monkeypatch):
         assert np.max(np.abs(U[k] - want.unitary)) <= 1e-9
 
 
+def _last(z):
+    """A stack of matrices given stack axis first, in the reducer's layout:
+    the stack axis last, and a single matrix as a stack of one."""
+    return z[..., None] if z.ndim == 2 else np.moveaxis(z, 0, -1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mm_matches_matmul(n):
     rng = np.random.default_rng(50 + n)
@@ -490,7 +496,7 @@ def test_mm_matches_matmul(n):
     a, b, M = cx(30, n, n), cx(30, n, n), cx(n, n)
     for x, y in ((a, b), (M, b), (a, M)):
         want = x @ y
-        got = orbit3._mm(x, y)
+        got = np.moveaxis(orbit3._mm(_last(x), _last(y)), -1, 0)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -525,12 +531,19 @@ def test_numeric_reduce_matches_the_restart_loop(case, block, monkeypatch):
 
 
 def _pattern_jacobians(A, I, count, rng):
-    """Pattern Jacobians and residuals of I at ``count`` Haar conjugates of A."""
+    """Pattern Jacobians and residuals of I at ``count`` Haar conjugates of A,
+    the stack axis first."""
     n = A.shape[0]
     rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
-    B = orbit3._conjugates(A, haar_unitaries(rng, count, n))
+    B = orbit3._conjugates(A, _last(haar_unitaries(rng, count, n)))
     J = orbit3._pattern_jacobian(B, rows, cols, skew_hermitian_basis(n))
-    return J, orbit3._residuals(B, rows, cols)
+    return np.moveaxis(J, -1, 0), orbit3._residuals(B, rows, cols).T
+
+
+def _stack_first_steps(J, r):
+    """``orbit3._min_norm_steps`` on stacks with the stack axis first."""
+    x, svd_rows = orbit3._min_norm_steps(_last(J), r.T)
+    return x.T, svd_rows
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -553,9 +566,113 @@ def test_min_norm_steps_match_lstsq(n):
         mix = rng.permutation(60)
         J, r = np.concatenate([J, JN])[mix], np.concatenate([r, rN])[mix]
         deficient = np.concatenate([deficient, np.ones(20, dtype=bool)])[mix]
-    x, svd_rows = orbit3._min_norm_steps(J, r)
+    x, svd_rows = _stack_first_steps(J, r)
     assert np.array_equal(svd_rows, deficient)
     assert np.isfinite(x).all()
     for Jk, rk, xk in zip(J, r, x):
         want = np.linalg.lstsq(Jk, -rk, rcond=None)[0]
         assert np.linalg.norm(xk - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _skew_from_spectrum(rng, spectrum, count):
+    """Skew-hermitian i V diag(spectrum) V*: the first with V = I, so its
+    spectrum is exact, the rest with Haar V."""
+    V = haar_unitaries(rng, count, 3)
+    V[0] = np.eye(3)
+    return 1j * (V * np.asarray(spectrum, dtype=float)) @ V.conj().swapaxes(1, 2)
+
+
+def _exp3_cases():
+    rng = np.random.default_rng(60)
+    J, r = _pattern_jacobians(random_traceless(rng), CYCLIC_PATTERN, 40, rng)
+    steps = np.tensordot(_stack_first_steps(J, r)[0], skew_hermitian_basis(3), axes=(1, 0))
+    unit = steps / np.linalg.norm(steps, axis=(1, 2))[:, None, None]
+    return {
+        "steps": steps,
+        # det H0 = 2 and -2 with a double eigenvalue, and det H0 = 0; the
+        # shift 0.5 gives H a trace and leaves the spectrum of the first H0
+        # exact, so its split w of the double eigenvalue is exactly 0
+        "double-det-pos": _skew_from_spectrum(rng, [-0.5, -0.5, 2.5], 20),
+        "double-det-neg": _skew_from_spectrum(rng, [1.5, 1.5, -1.5], 20),
+        "det-zero": _skew_from_spectrum(rng, [1.5, 0.5, -0.5], 20),
+        # a double eigenvalue split by 2e-9, near the sqrt(eps) resolution
+        # of the split from c0 and c1
+        "near-double": _skew_from_spectrum(rng, [1.5 + 1e-9, 1.5 - 1e-9, -1.5], 20),
+        "norm-1e-10": 1e-10 * unit,
+        "norm-pi": np.pi * unit,
+        "norm-10": 10 * unit,
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "steps", "double-det-pos", "double-det-neg", "det-zero", "near-double",
+        "norm-1e-10", "norm-pi", "norm-10",
+    ],
+)
+def test_exp3_matches_the_eigh_oracle(case):
+    X = _exp3_cases()[case]
+    I = np.broadcast_to(np.eye(3), X.shape)
+    trial = orbit3._exp3_trials(_last(I), _last(X))
+    # every step length of the line search
+    for t in 0.5 ** np.arange(10):
+        got = np.moveaxis(trial(t, np.arange(len(X))), -1, 0)
+        for G, Y in zip(got, t * X):
+            scale = max(1.0, np.linalg.norm(Y))
+            assert np.linalg.norm(G - _expm_skew(Y)) <= 1e-14 * scale
+            assert np.linalg.norm(G.conj().T @ G - np.eye(3)) <= 1e-14
+
+
+def test_exp3_of_zero_is_the_identity():
+    U = haar_unitaries(np.random.default_rng(61), 2, 3)
+    U[0] = np.eye(3)
+    X = np.zeros((2, 3, 3), dtype=complex)
+    # a zero traceless part: exp(t X) is the scalar e^{-0.3 i t}
+    X[1] = -0.3j * np.eye(3)
+    trial = orbit3._exp3_trials(_last(U), _last(X))
+    for t in 0.5 ** np.arange(10):
+        got = np.moveaxis(trial(t, np.arange(2)), -1, 0)
+        assert np.array_equal(got[0], U[0])
+        assert np.max(np.abs(got[1] - np.exp(-0.3j * t) * U[1])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reducer_endpoints_are_unitary_with_their_conjugates(n, monkeypatch):
+    rng = np.random.default_rng(70 + n)
+    if n == 4:
+        # the nilpotent of test_numeric_reduce_obstructed_case: every
+        # Jacobian on its orbit takes the SVD step
+        I = EXCEPTIONAL_4[0]
+        A = np.zeros((4, 4), dtype=complex)
+        A[0, 1] = A[2, 3] = 1 / np.sqrt(2)
+    else:
+        I = {2: ne(2), 3: CYCLIC_PATTERN}[n]
+        A = random_traceless(rng, n)
+    svd_rows = []
+    solve = orbit3._min_norm_steps
+
+    def recording(J, r):
+        x, rows = solve(J, r)
+        svd_rows.append(rows.any())
+        return x, rows
+
+    monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
+    U, B, _, _ = orbit3.gauss_newton_reduce(A, haar_unitaries(rng, 40, n), list(I), 80)
+    assert any(svd_rows) == (n == 4)
+    for Uk, Bk in zip(U, B):
+        assert np.linalg.norm(Uk.conj().T @ Uk - np.eye(n)) <= 1e-14
+        assert np.max(np.abs(Bk - Uk.conj().T @ A @ Uk)) <= 1e-14
+
+
+def test_count_flags_calls_neither_eigh_nor_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-matrix LAPACK call")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    res = count_flags(flags3_panel(0), restarts=200, seed=0)
+    assert res.num_flags in (6, 18) and res.generic
+    # the patch is live: the reducer at n = 4 still needs eigh
+    with pytest.raises(AssertionError, match="LAPACK"):
+        numeric_reduce(random_traceless(np.random.default_rng(62), 4), EXCEPTIONAL_4[2], 4, restarts=5)
