@@ -382,21 +382,35 @@ def is_transversal_at(A) -> bool:
     if s == 0.0:
         return False
     rows, cols = np.array(list(CYCLIC_PATTERN), dtype=np.intp).T - 1
-    J = _pattern_jacobian((A / s)[..., None], rows, cols, skew_hermitian_basis(3))
-    J = J[..., 0]
-    return bool(np.linalg.svd(J, compute_uv=False)[-1] > 1e-8)
+    J = _pattern_jacobian((A / s)[..., None], _jacobian_table(3, rows, cols))
+    return bool(np.linalg.svd(J[..., 0], compute_uv=False)[-1] > 1e-8)
 
 
-def _pattern_jacobian(B: np.ndarray, rows, cols, basis: np.ndarray) -> np.ndarray:
+def _jacobian_table(n: int, rows, cols) -> np.ndarray:
+    """The real (2k n^2, 2n^2) matrix of the linear map from [Re B; Im B],
+    B an n x n matrix flattened, to the pattern Jacobian at B: the real and
+    imaginary parts of the k pattern entries (p, q) of the commutators
+    [B, S_b], over the skew-hermitian basis S_b, stacked as the rows
+    (part, entry, b)."""
+    # d[B, S]_pq / dS_kl = B_pk [l = q] - [k = p] B_lq: the entry (p, q) of
+    # [B, S_b] takes B_xy with the weight [x = p] (S_b)_yq - (S_b)_px [y = q]
+    basis, eye = skew_hermitian_basis(n), np.eye(n)
+    M = np.einsum("ix,byi->ibxy", eye[rows], basis[:, :, cols])
+    M -= np.einsum("bix,yi->ibxy", basis[:, rows, :], eye[:, cols])
+    M = M.reshape(-1, n * n)
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+def _pattern_jacobian(B: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Jacobian of the real and imaginary parts of the pattern entries of
     exp(-S) B exp(S) at S = 0, for each matrix of the stack B of shape
     (n, n, R), in the coordinates of the skew-hermitian basis: shape
-    (2k, n^2, R)."""
-    # d[B, S]_pq / dS_kl = B_pk [l = q] - [k = p] B_lq, contracted with
-    # each basis matrix S_b at the pattern positions (p, q)
-    Jc = np.einsum("ikr,bki->ibr", B[rows], basis[:, :, cols])
-    Jc -= np.einsum("bil,lir->ibr", basis[:, rows, :], B[:, cols])
-    return np.concatenate([Jc.real, Jc.imag])
+    (2k, n^2, R).  It is linear in B, so the whole stack takes one real
+    matrix product with the ``_jacobian_table`` of the pattern."""
+    n2 = B.shape[0] * B.shape[1]
+    Bf = B.reshape(n2, -1)
+    J = table @ np.concatenate([Bf.real, Bf.imag])
+    return J.reshape(-1, n2, Bf.shape[1])
 
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
@@ -496,9 +510,13 @@ def random_cyclic_subspace(rng) -> np.ndarray:
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for stacks of small matrices of shapes (n, l, ...) and
     (l, m, ...), with broadcasting stack axes, as a sum of l broadcast outer
-    products.  numpy's stacked matmul hands the products to BLAS one matrix
-    at a time, which costs several times more per 3 x 3 product than these
-    few array operations over the whole stack."""
+    products.  This is for products whose two factors both vary over the
+    stack: numpy's stacked matmul hands them to BLAS one matrix at a time,
+    which costs several times more per 3 x 3 product than these few array
+    operations over the whole stack.  A fixed left factor F instead takes
+    one BLAS call for the whole stack, F @ b.reshape(l, -1) (as in
+    ``_conjugates``), and so does a fixed linear map of the stack's entries
+    (``_pattern_jacobian``, ``_skew_combinations``)."""
     out = a[:, 0, None] * b[0]
     for k in range(1, a.shape[1]):
         out += a[:, k, None] * b[k]
@@ -511,8 +529,29 @@ def _adjoint(U: np.ndarray) -> np.ndarray:
 
 
 def _conjugates(A: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U* A U for a stack of unitaries U of shape (n, n, R)."""
-    return _mm(_adjoint(U), _mm(A[..., None], U))
+    """U* A U for a stack of unitaries U of shape (n, n, R): A U is one
+    matrix product over the stack, U* (A U) a product per start."""
+    n = A.shape[0]
+    AU = (A @ U.reshape(n, -1)).reshape(U.shape)
+    return _mm(_adjoint(U), AU)
+
+
+def _basis_table(n: int) -> np.ndarray:
+    """The real (2n^2, n^2) matrix whose column b holds the real and then the
+    imaginary parts of the flattened basis matrix S_b of
+    ``skew_hermitian_basis(n)``."""
+    S = skew_hermitian_basis(n).reshape(n * n, n * n).T
+    return np.concatenate([S.real, S.imag])
+
+
+def _skew_combinations(table: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The skew-hermitian matrices sum_b coef[b, r] S_b, shape (n, n, R), from
+    the coefficients coef of shape (n^2, R) and the ``_basis_table`` of
+    the S_b: one real matrix product over the stack."""
+    n2 = table.shape[1]
+    n = math.isqrt(n2)
+    P = table @ coef
+    return (P[:n2] + 1j * P[n2:]).reshape(n, n, -1)
 
 
 def _det3(M: np.ndarray) -> np.ndarray:
@@ -586,7 +625,15 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
         ]
     )
     K[0, 0] += flat
-    N = _mm(K, np.stack([U, _mm(U, H0), _mm(U, H0sq)]).reshape(3, 9, -1))
+    # N_j = sum_i K[j, i] M_i with M = (U, U H0, U H0^2), as three
+    # contiguous linear combinations
+    M = (U, _mm(U, H0), _mm(U, H0sq))
+    N = np.empty((3,) + U.shape, dtype=complex)
+    for j in range(3):
+        np.multiply(K[j, 0], M[0], out=N[j])
+        N[j] += K[j, 1] * M[1]
+        N[j] += K[j, 2] * M[2]
+    N = N.reshape(3, 9, -1)
     # the columns a trial length t scales: a + 2u, a - u, w, and the S of
     # w = 0
     still = w == 0
@@ -620,10 +667,11 @@ def _min_norm_steps(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     A Jacobian of full row rank has x = J^T y with (J J^T) y = -r, solved by
     a Cholesky of the m x m Gram matrix done column by column across the
     stack; the Gram matrices come from one einsum, not a stacked matmul,
-    which would call BLAS once per matrix.  A Jacobian with a pivot below _GRAM_PIVOT times the mean Gram
-    diagonal may be rank-deficient, where only a truncated SVD gives the
-    right step; the SVD runs on those starts alone.  Returns (x, svd_rows),
-    the steps of shape (d, R) and the mask of the starts the SVD solved."""
+    which would call BLAS once per matrix.  A Jacobian with a pivot below
+    _GRAM_PIVOT times the mean Gram diagonal may be rank-deficient, where
+    only a truncated SVD gives the right step; the SVD runs on those starts
+    alone.  Returns (x, svd_rows), the steps of shape (d, R) and the mask of
+    the starts the SVD solved."""
     m, R = J.shape[0], J.shape[2]
     # [G | -r], eliminated in place: row j ends as row j of L^T followed by
     # the forward solution z_j of L z = -r
@@ -687,7 +735,12 @@ def gauss_newton_reduce(
     ``numeric_reduce`` at n = 2 and n = 4.  The endpoints are re-unitarized
     by one Newton-Schulz step U <- (3 U - U U* U) / 2 toward the polar
     factor.  At n = 3 an iteration makes no per-matrix LAPACK or BLAS call
-    unless a rank-deficient Jacobian takes the SVD step.
+    unless a rank-deficient Jacobian takes the SVD step.  The maps that are
+    the same for every start are one BLAS call each over the whole stack:
+    the Jacobian is the ``_jacobian_table`` of the pattern applied to the
+    flattened real and imaginary parts of the conjugates, the step X the
+    ``_basis_table`` applied to the coefficients, and A U in each
+    conjugation one product with A; both tables are built once per call.
 
     The stacks are held with the stack axis last (see ``_mm``) and returned
     with it first.  Each iteration steps the first _BLOCK live starts in
@@ -702,7 +755,7 @@ def gauss_newton_reduce(
     n = A.shape[0]
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
     cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
-    basis = skew_hermitian_basis(n)
+    jacobian_table, basis_table = _jacobian_table(n, rows, cols), _basis_table(n)
     U = np.array(np.moveaxis(U0, 0, -1), dtype=complex)
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
@@ -716,9 +769,9 @@ def gauss_newton_reduce(
         idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
-        J = _pattern_jacobian(B[..., idx], rows, cols, basis)
+        J = _pattern_jacobian(B[..., idx], jacobian_table)
         coef, _ = _min_norm_steps(J, r[:, idx])
-        X = np.einsum("bij,br->ijr", basis, coef)
+        X = _skew_combinations(basis_table, coef)
         trial = (_exp3_trials if n == 3 else _eigh_trials)(U[..., idx], X)
         searching = np.ones(idx.size, dtype=bool)
         step = 1.0
@@ -767,13 +820,15 @@ def numeric_reduce(
     All restarts are reduced in one ``gauss_newton_reduce`` call, and the
     first converged one in restart order is returned.  Success is evidence
     of orbit intersection; failure after the restart budget is evidence of
-    nothing.
+    nothing.  A must be a finite n x n matrix (ValueError otherwise).
     """
     if n not in (2, 3, 4):
         raise ValueError("reducer is budgeted for n in {2, 3, 4}")
     A = np.asarray(A, dtype=complex)
     if A.shape != (n, n):
         raise ValueError("matrix size does not match n")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
     I.check_within(n)
     s = float(np.linalg.norm(A))
     if s == 0.0:
@@ -855,10 +910,11 @@ def count_flags(
     orbit of A with the cyclic pattern subspace, by clustering the converged
     endpoints of random-restart Gauss-Newton runs.
 
-    A is made traceless and normalized to unit Frobenius norm first.  Each
-    restart takes up to 60 Gauss-Newton steps and has converged when its
-    squared residual is at most RESID_TOL; the converged endpoints are
-    clustered by ``torus_equivalent``.  The count equals the number of flags
+    A must be a finite 3 x 3 matrix (ValueError otherwise, as for a zero
+    traceless part); it is made traceless and normalized to unit Frobenius
+    norm first.  Each restart takes up to 60 Gauss-Newton steps and has
+    converged when its squared residual is at most RESID_TOL; the converged
+    endpoints are clustered by ``torus_equivalent``.  The count equals the number of flags
     reducing A into the subspace when every intersection point is
     transversal; a sample with a cluster whose |P1| is below 1e-6 is marked
     non-generic.  The clusters are grouped by P1 rounded to TORUS_TOL.  All
@@ -868,6 +924,10 @@ def count_flags(
     if restarts < 1:
         raise ValueError("count_flags needs at least one restart")
     A = np.asarray(A, dtype=complex)
+    if A.shape != (3, 3):
+        raise ValueError("expected a 3 x 3 matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
     A = A - np.trace(A) / 3 * np.eye(3)
     s = float(np.linalg.norm(A))
     if s == 0.0:

@@ -194,6 +194,28 @@ def test_numeric_reduce_obstructed_case():
 def test_numeric_reduce_validation():
     with pytest.raises(ValueError):
         numeric_reduce(np.zeros((5, 5)), ne(5), 5)
+    with pytest.raises(ValueError, match="does not match"):
+        numeric_reduce(np.zeros((4, 4)), ne(3), 3)
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        A = random_traceless(np.random.default_rng(14), 3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            numeric_reduce(A, ne(3), 3, restarts=5)
+
+
+def test_count_flags_validation():
+    with pytest.raises(ValueError, match="expected a 3 x 3 matrix"):
+        count_flags(random_traceless(np.random.default_rng(15), 4), restarts=5)
+    with pytest.raises(ValueError, match="expected a 3 x 3 matrix"):
+        count_flags(np.ones(9), restarts=5)
+    with pytest.raises(ValueError, match="non-finite"):
+        count_flags(np.full((3, 3), np.nan), restarts=5)
+    A = random_traceless(np.random.default_rng(15))
+    A[0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        count_flags(A, restarts=5)
+    with pytest.raises(ValueError, match="zero matrix"):
+        count_flags(np.eye(3), restarts=5)
 
 
 def test_surface_pair_genericity_report():
@@ -221,6 +243,16 @@ def _pattern_residual(B, pos0):
     return np.concatenate([vals.real, vals.imag])
 
 
+def commutator_jacobian(B, pos0):
+    """Oracle for the pattern Jacobian at one matrix B: the real and
+    imaginary parts of the 0-based pattern entries pos0 of the commutators
+    [B, S_b], built from the whole basis stack, shape (2k, n^2)."""
+    stack = skew_hermitian_basis(B.shape[0])
+    comm = B[None, :, :] @ stack - stack @ B[None, :, :]
+    vals = comm[:, [p[0] for p in pos0], [p[1] for p in pos0]]
+    return np.concatenate([vals.real, vals.imag], axis=1).T
+
+
 def gauss_newton_one_start(A, U0, positions, max_iter=60, resid_tol=1e-18):
     """Oracle for gauss_newton_reduce on one start: the commutator Jacobian
     built from the whole basis stack, ``lstsq`` for the step, and a fresh
@@ -235,9 +267,7 @@ def gauss_newton_one_start(A, U0, positions, max_iter=60, resid_tol=1e-18):
     for _ in range(max_iter):
         if r2 <= resid_tol:
             break
-        comm = B[None, :, :] @ stack - stack @ B[None, :, :]
-        vals = comm[:, [p[0] for p in pos0], [p[1] for p in pos0]]
-        J = np.concatenate([vals.real, vals.imag], axis=1).T
+        J = commutator_jacobian(B, pos0)
         s, *_ = np.linalg.lstsq(J, -r, rcond=None)
         X = np.tensordot(s, stack, axes=(0, 0))
         improved = False
@@ -536,7 +566,7 @@ def _pattern_jacobians(A, I, count, rng):
     n = A.shape[0]
     rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
     B = orbit3._conjugates(A, _last(haar_unitaries(rng, count, n)))
-    J = orbit3._pattern_jacobian(B, rows, cols, skew_hermitian_basis(n))
+    J = orbit3._pattern_jacobian(B, orbit3._jacobian_table(n, rows, cols))
     return np.moveaxis(J, -1, 0), orbit3._residuals(B, rows, cols).T
 
 
@@ -572,6 +602,54 @@ def test_min_norm_steps_match_lstsq(n):
     for Jk, rk, xk in zip(J, r, x):
         want = np.linalg.lstsq(Jk, -rk, rcond=None)[0]
         assert np.linalg.norm(xk - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "n, positions",
+    [
+        (2, [(1, 2)]),
+        (2, [(1, 1), (2, 1)]),
+        (3, list(CYCLIC_PATTERN)),
+        (3, [(1, 2), (2, 2), (3, 1)]),
+        (4, list(EXCEPTIONAL_4[0])),
+        (4, [(4, 4), (1, 3), (3, 2)]),
+    ],
+    ids=["n2", "n2-diagonal", "n3-cyclic", "n3-diagonal", "n4-exceptional", "n4-diagonal"],
+)
+def test_jacobian_table_matches_the_commutator_stack(n, positions):
+    rng = np.random.default_rng(80 + n + len(positions))
+    B = rng.normal(size=(25, n, n)) + 1j * rng.normal(size=(25, n, n))
+    rows, cols = np.array(positions, dtype=np.intp).T - 1
+    J = orbit3._pattern_jacobian(_last(B), orbit3._jacobian_table(n, rows, cols))
+    assert J.shape == (2 * len(positions), n * n, len(B))
+    pos0 = list(zip(rows, cols))
+    for k, Bk in enumerate(B):
+        assert np.max(np.abs(J[..., k] - commutator_jacobian(Bk, pos0))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_basis_table_assembles_the_steps(n):
+    coef = np.random.default_rng(90 + n).normal(size=(n * n, 30))
+    X = orbit3._skew_combinations(orbit3._basis_table(n), coef)
+    assert X.shape == (n, n, 30)
+    want = np.tensordot(coef, skew_hermitian_basis(n), (0, 0))
+    assert np.max(np.abs(np.moveaxis(X, -1, 0) - want)) <= 1e-15
+
+
+def test_is_transversal_at_keeps_the_commutator_verdicts():
+    # the matrices of test_c12_transversality_cross_validation and the
+    # reference matrices, against the smallest singular value of the
+    # normalized commutator-stack Jacobian
+    rng = np.random.default_rng(12)
+    mats = [GAMMA1_MATRIX, GAMMA2_MATRIX, SURFACE_PAIR_A, SURFACE_PAIR_B]
+    mats += [random_cyclic_subspace(rng) for _ in range(500)]
+    pos0 = [(i - 1, j - 1) for i, j in CYCLIC_PATTERN]
+    verdicts = []
+    for A in mats:
+        J = commutator_jacobian(A / np.linalg.norm(A), pos0)
+        verdicts.append(bool(np.linalg.svd(J, compute_uv=False)[-1] > 1e-8))
+        assert orbit3.is_transversal_at(A) == verdicts[-1]
+    assert verdicts[:4] == [False, True, True, True]
 
 
 def _skew_from_spectrum(rng, spectrum, count):
