@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
-import itertools
 import json
 import math
 import random
@@ -35,10 +34,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .patterns import Pattern, j_hessenberg, mu, ne, transposition
+from .patterns import Pattern, j_hessenberg, mu, ne
 from .polynomials import (
-    chi,
-    in_coinvariant_ideal,
     norm_squared,
     pair_with_vandermonde,
     permutation_table,
@@ -311,48 +308,6 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
     return census, records
 
 
-# -- flip-equivalence cross-check ----------------------------------------------
-
-
-def weak_classes_by_flip_bfs(n: int) -> dict[int, int]:
-    """Partition of the strict size-mu(n) patterns by closure under flips and
-    adjacent relabelings, computed by exhaustive union-find.  Test oracle:
-    an independent check of the multiplicity-vector encoding that the orbit
-    engine computes; budgeted for n <= 4."""
-    if not 2 <= n <= 4:
-        raise ValueError("exhaustive flip closure is budgeted for n <= 4")
-    masks = []
-    mask_index = {}
-    for I in enumerate_strict(n):
-        m = I.mask(n)
-        mask_index[m] = len(masks)
-        masks.append((m, I))
-    parent = list(range(len(masks)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    gens = [transposition(n, i, i + 1) for i in range(1, n)]
-    for idx, (m, I) in enumerate(masks):
-        for g in gens:
-            union(idx, mask_index[I.apply_perm(g).mask(n)])
-        for (i, j) in I:
-            if (j, i) not in I:
-                union(idx, mask_index[I.flip((i, j)).mask(n)])
-    out = {}
-    for idx, (m, _) in enumerate(masks):
-        out[m] = find(idx)
-    return out
-
-
 # -- reports over specific slices ------------------------------------------------
 
 
@@ -470,6 +425,8 @@ def _sampled_classes(n: int, sample: int, seed: int) -> list[tuple[int, int]]:
     """(canonical mask, number of draws) of each class met by ``sample``
     distinct strict patterns drawn with random.Random(seed), in order of
     first meeting."""
+    if sample < 1:
+        raise ValueError("a sampled scan needs at least one pattern")
     if sample > strict_count(n):
         raise ValueError(
             f"cannot sample {sample} distinct patterns: n={n} has only "
@@ -543,67 +500,4 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
         "counterexample": counterexample.to_json() if counterexample else None,
         "extremes_attained_only_at_signed_vandermonde": extremes_simple,
         "passed": counterexample is None and extremes_simple and bound_attained,
-    }
-
-
-def search_nonsingular_extension(I: Pattern, n: int) -> Pattern:
-    """Extend a nonsingular pattern to a nonsingular strict pattern of size
-    mu(n) by depth-first search that only walks through nonsingular partial
-    patterns.  Exhaustion would contradict the extension theorem and raises.
-    """
-    I.check_within(n)
-    if not I.is_strict():
-        raise ValueError("only strict patterns are nonsingular")
-    if in_coinvariant_ideal(chi(I, n), n):
-        raise ValueError("pattern is singular; nothing to extend")
-    start = sorted(I)
-    remaining = [c for c in offdiag_cells(n) if c not in I]
-
-    def dfs2(extra: list, lo: int) -> Pattern | None:
-        cand = start + extra
-        if len(cand) == mu(n):
-            return Pattern(cand)
-        for k in range(lo, len(remaining)):
-            c = remaining[k]
-            trial = cand + [c]
-            if in_coinvariant_ideal(chi(Pattern(trial), n), n):
-                continue
-            found = dfs2(extra + [c], k + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = dfs2([], 0)
-    if found is None:
-        raise RuntimeError(
-            "search exhausted without a nonsingular completion; this "
-            "contradicts the extension theorem and should be reported"
-        )
-    return found
-
-
-def j_family_class_report(n: int) -> dict:
-    """Number of equivalence classes met by the staircase family J(sigma, i)."""
-    from .patterns import j_family
-
-    if not 2 <= n <= 5:
-        raise ValueError("budgeted for 2 <= n <= 5")
-    seen_patterns = set()
-    for sigma in itertools.permutations(range(1, n + 1)):
-        stack = [((), ())]
-        while stack:
-            ivec, used = stack.pop()
-            k = len(ivec) + 1
-            if k == n:
-                seen_patterns.add(j_family(sigma, ivec))
-                continue
-            for v in sigma[:k]:
-                for s in (v, -v):
-                    if s not in used:
-                        stack.append((ivec + (s,), used + (s,)))
-    classes = {canonical_form(I, n).mask(n) for I in seen_patterns}
-    return {
-        "n": n,
-        "num_patterns": len(seen_patterns),
-        "num_classes": len(classes),
     }

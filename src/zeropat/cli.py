@@ -67,6 +67,12 @@ def _as_csv(obj) -> str:
     return "\n".join(lines)
 
 
+def _require_at_least(flag: str, value: int | None, low: int) -> None:
+    """A count below ``low`` would check nothing and still report a pass."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _resolve_pattern(args) -> tuple[Pattern, int]:
     if args.family and args.pattern:
         raise ValueError("give --pattern or --family, not both")
@@ -141,15 +147,19 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
     }
     given = {k: v for k, v in opts.items() if v is not None}
+    takes = {name: inspect.signature(SUITES[name]).parameters for name in names}
+    if args.suite != "all":
+        ignored = [k for k in given if k not in takes[args.suite]]
+        if ignored:
+            flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
+            raise ValueError(f"suite {args.suite!r} does not take {flags}")
+    # hessenberg starts at n = 3
+    _require_at_least("--max-n", args.max_n, 3)
+    _require_at_least("--samples", args.samples, 1)
     reports = []
     ok = True
     for name in names:
-        accepted = inspect.signature(SUITES[name]).parameters
-        ignored = [k for k in given if k not in accepted]
-        if ignored and args.suite != "all":
-            flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
-            raise ValueError(f"suite {name!r} does not take {flags}")
-        rep = run_suite(name, **{k: v for k, v in given.items() if k in accepted})
+        rep = run_suite(name, **{k: v for k, v in given.items() if k in takes[name]})
         reports.append(rep)
         ok = ok and bool(rep["passed"])
         print(f"{name}: {'pass' if rep['passed'] else 'FAIL'}", file=sys.stderr)
@@ -162,6 +172,8 @@ def cmd_verify(args) -> int:
 def cmd_flags3(args) -> int:
     from .orbit3 import count_flags, poly_P2_ratio, random_traceless
 
+    _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--restarts", args.restarts, 1)
     rng = np.random.default_rng(args.seed)
     samples = []
     all_ok = True
@@ -236,11 +248,15 @@ def cmd_invariants(args) -> int:
     if args.matrix == "zero":
         X = np.zeros((3, 3), dtype=complex)
     else:
-        with open(args.matrix) as fh:
-            data = json.load(fh)
-        X = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in data], dtype=complex
-        )
+        try:
+            with open(args.matrix) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --matrix: {exc}") from None
+        try:
+            X = np.array([[complex(re, im) for re, im in row] for row in data])
+        except (TypeError, ValueError):
+            raise ValueError("--matrix rows must be lists of [re, im] pairs") from None
     vals = invariants(X)
     _emit(
         {"schema_version": SCHEMA_VERSION, "invariants": [float(v) for v in vals]},

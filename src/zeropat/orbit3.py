@@ -90,6 +90,8 @@ def invariants(X) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (3, 3):
         raise ValueError("expected a 3 x 3 matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("matrix has a non-finite entry")
     Y = X.conj().T
     X2 = X @ X
     Y2 = Y @ Y
@@ -285,6 +287,8 @@ def poly_P(X) -> float:
     s = float(np.linalg.norm(X))
     if s == 0.0:
         return 0.0
+    if not math.isfinite(s):
+        raise ValueError("matrix has a non-finite entry")
     return poly_p_from_invariants(invariants(X / s)) * s**24
 
 
@@ -294,6 +298,8 @@ def _cyclic_entries(A):
     A = np.asarray(A, dtype=complex)
     if A.shape != (3, 3):
         raise ValueError("expected a 3 x 3 matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
     tol = 1e-9 * max(float(np.linalg.norm(A)), 1.0)
     for (i, j) in CYCLIC_PATTERN:
         if abs(A[i - 1, j - 1]) > tol:
@@ -824,6 +830,8 @@ def numeric_reduce(
     """
     if n not in (2, 3, 4):
         raise ValueError("reducer is budgeted for n in {2, 3, 4}")
+    if restarts < 1:
+        raise ValueError("numeric_reduce needs at least one restart")
     A = np.asarray(A, dtype=complex)
     if A.shape != (n, n):
         raise ValueError("matrix size does not match n")
@@ -1087,35 +1095,6 @@ def check_nonuniversality_invariants(samples: int = 100, seed: int = 0) -> dict:
         "worst_rel_error": float(worst),
         "passed": bool(ok_first and ok_second and ok_diag),
     }
-
-
-def surface_pair_genericity_report(restarts: int = 1500, seed: int = 0) -> dict:
-    """Numerical genericity evidence for the two unitarily similar reference
-    matrices lying on the degree-12 hypersurface.
-
-    A matrix is generic when its orbit meets the pattern subspace
-    transversally at every intersection point; this report counts the torus
-    clusters of each matrix and evaluates the degree-6 factor and the
-    transversality test at each cluster.  It reports the evidence without
-    claiming a resolution.
-    """
-    out = {}
-    for name, M in (("pair_a", SURFACE_PAIR_A), ("pair_b", SURFACE_PAIR_B)):
-        res = count_flags(M, restarts=restarts, seed=seed)
-        transversal = [is_transversal_at(s.reduced) for s in res.solutions]
-        out[name] = {
-            "num_flags": res.num_flags,
-            "min_abs_p1": min(abs(p) for p in res.cluster_p1) if res.cluster_p1 else None,
-            "all_clusters_transversal": bool(all(transversal)),
-            "numerically_generic": bool(res.generic and all(transversal)),
-        }
-    out["matrices_similar"] = bool(
-        np.allclose(
-            np.sort_complex(np.linalg.eigvals(SURFACE_PAIR_A)),
-            np.sort_complex(np.linalg.eigvals(SURFACE_PAIR_B)),
-        )
-    )
-    return out
 
 
 def check_intertwiner() -> dict:

@@ -154,7 +154,13 @@ class Pattern:
 
     @staticmethod
     def from_json(data) -> "Pattern":
-        return Pattern((int(i), int(j)) for i, j in data)
+        """The pattern of a JSON list of [i, j] pairs of ints (not bools)."""
+        if not isinstance(data, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+            for p in data
+        ):
+            raise ValueError(f"a pattern is a JSON list of [i, j] pairs of ints, got {data!r}")
+        return Pattern(data)
 
 
 def block_extend(I: Pattern, J: Pattern, n: int, m: int) -> Pattern:
@@ -179,12 +185,6 @@ def is_permutation(perm: Sequence[int]) -> bool:
     return sorted(perm) == list(range(1, n + 1))
 
 
-def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
-    p = list(range(1, n + 1))
-    p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
-    return tuple(p)
-
-
 def perm_sign(perm: Sequence[int]) -> int:
     sign = 1
     for a in range(len(perm)):
@@ -192,24 +192,6 @@ def perm_sign(perm: Sequence[int]) -> int:
             if perm[a] > perm[b]:
                 sign = -sign
     return sign
-
-
-def perm_compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(q)))
-
-
-def perm_inverse(p: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def random_permutation(rng, n: int) -> tuple[int, ...]:
-    p = list(range(1, n + 1))
-    rng.shuffle(p)
-    return tuple(p)
 
 
 # -- pattern families ---------------------------------------------------------
@@ -376,29 +358,6 @@ def j_hessenberg(k: int, n: int) -> Pattern:
 def cyclic3() -> Pattern:
     """The 3 x 3 cyclic pattern {(1,3), (2,1), (3,2)}."""
     return Pattern([(1, 3), (2, 1), (3, 2)])
-
-
-def interleave_perm(n: int) -> tuple[int, ...]:
-    """The permutation 1, n, 2, n-1, ... sending 2k-1 to k and 2k to n+1-k."""
-    p = [0] * n
-    for k in range(1, n // 2 + 1):
-        p[2 * k - 1 - 1] = k
-        p[2 * k - 1] = n + 1 - k
-    if n % 2:
-        p[n - 1] = (n + 1) // 2
-    return tuple(p)
-
-
-def alternating_rows(n: int) -> tuple[int, ...]:
-    """The signed sequence 1, -1, 2, -2, ... of length n - 1."""
-    out = []
-    k = 1
-    while len(out) < n - 1:
-        out.append(k)
-        if len(out) < n - 1:
-            out.append(-k)
-        k += 1
-    return tuple(out)
 
 
 _SIMPLE_FAMILIES = {

@@ -291,13 +291,6 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
     return x if 2 * x < p1 * p2 else x - p1 * p2
 
 
-def pair_with_vandermonde_naive(I: Pattern, n: int) -> int:
-    """Test oracle: full expansion of chi(I), then the inner product."""
-    if len(I) != mu(n):
-        return 0
-    return inner(chi(I, n), vandermonde(n))
-
-
 def norm_squared(I: Pattern, n: int) -> int:
     """Exact inner product of chi(I) with itself: sum of squared coefficients.
     The expansion packs exponents 6 bits per variable, so |I| <= 63."""

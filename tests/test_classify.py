@@ -19,19 +19,23 @@ from zeropat.classify import (
     complexity_one_case_a,
     complexity_one_case_b,
     enumerate_strict,
-    j_family_class_report,
     offdiag_cells,
     scan_extremal,
-    search_nonsingular_extension,
     strict_count,
     verify_hessenberg,
     weak_canonical_form,
-    weak_classes_by_flip_bfs,
 )
-from zeropat.patterns import Pattern, lam, mu, random_permutation
-from zeropat.polynomials import norm_squared, pair_with_vandermonde
+from zeropat.patterns import Pattern, j_family, lam, mu
+from zeropat.polynomials import (
+    chi,
+    in_coinvariant_ideal,
+    norm_squared,
+    pair_with_vandermonde,
+)
 from zeropat.stabdim import constraint_rows, integer_rank
 from zeropat.verify import load_expected, random_strict
+
+from oracles import random_permutation, weak_classes_by_flip_bfs
 
 # sha256 of the compact, key-sorted JSON list of ClassRecord.to_json() in
 # census order; the benchmark's reference file records the same digests
@@ -421,6 +425,45 @@ def test_extremal_sampled():
     assert scan_extremal(3, sample=20)["scanned"] == 20
     with pytest.raises(ValueError):
         scan_extremal(3, sample=21)
+    for sample in (0, -1):
+        with pytest.raises(ValueError, match="at least one pattern"):
+            scan_extremal(3, sample=sample)
+
+
+def search_nonsingular_extension(I, n):
+    """Extend a nonsingular pattern to a nonsingular strict pattern of size
+    mu(n) by depth-first search that only walks through nonsingular partial
+    patterns.  Exhaustion would contradict the extension theorem and raises.
+    """
+    I.check_within(n)
+    if not I.is_strict():
+        raise ValueError("only strict patterns are nonsingular")
+    if in_coinvariant_ideal(chi(I, n), n):
+        raise ValueError("pattern is singular; nothing to extend")
+    start = sorted(I)
+    remaining = [c for c in offdiag_cells(n) if c not in I]
+
+    def dfs2(extra, lo):
+        cand = start + extra
+        if len(cand) == mu(n):
+            return Pattern(cand)
+        for k in range(lo, len(remaining)):
+            c = remaining[k]
+            trial = cand + [c]
+            if in_coinvariant_ideal(chi(Pattern(trial), n), n):
+                continue
+            found = dfs2(extra + [c], k + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = dfs2([], 0)
+    if found is None:
+        raise RuntimeError(
+            "search exhausted without a nonsingular completion; this "
+            "contradicts the extension theorem and should be reported"
+        )
+    return found
 
 
 def test_search_extension():
@@ -437,6 +480,31 @@ def test_search_extension():
     assert pair_with_vandermonde(found, 4) != 0
     with pytest.raises(ValueError):
         search_nonsingular_extension(EXCEPTIONAL_4[0], 4)
+
+
+def j_family_class_report(n):
+    """Number of equivalence classes met by the staircase family J(sigma, i)."""
+    if not 2 <= n <= 5:
+        raise ValueError("budgeted for 2 <= n <= 5")
+    seen_patterns = set()
+    for sigma in itertools.permutations(range(1, n + 1)):
+        stack = [((), ())]
+        while stack:
+            ivec, used = stack.pop()
+            k = len(ivec) + 1
+            if k == n:
+                seen_patterns.add(j_family(sigma, ivec))
+                continue
+            for v in sigma[:k]:
+                for s in (v, -v):
+                    if s not in used:
+                        stack.append((ivec + (s,), used + (s,)))
+    classes = {canonical_form(I, n).mask(n) for I in seen_patterns}
+    return {
+        "n": n,
+        "num_patterns": len(seen_patterns),
+        "num_classes": len(classes),
+    }
 
 
 def test_staircase_class_counts():

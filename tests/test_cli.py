@@ -120,6 +120,9 @@ def test_verify_jfamily_small(capsys):
     assert code == 0
 
 
+PATTERN_SHAPE = "a pattern is a JSON list of [i, j] pairs of ints"
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nonesuch"])
@@ -143,14 +146,55 @@ def test_verify_unknown_suite_rejected(capsys):
      "--family lambda:4 fixes n = 4, not 6"),
     (["pair", "--family", "lambda:4", "--pattern", "[[1,2]]", "--n", "4",
       "--format", "text"], "give --pattern or --family, not both"),
+    (["pair", "--n", "3", "--pattern", "5"], PATTERN_SHAPE),
+    (["pair", "--n", "3", "--pattern", "[1,2]"], PATTERN_SHAPE),
+    (["pair", "--n", "3", "--pattern", "null"], PATTERN_SHAPE),
+    (["pair", "--n", "3", "--pattern", "[[1.5,2]]"], PATTERN_SHAPE),
+    (["pair", "--n", "3", "--pattern", "[[true,2]]"], PATTERN_SHAPE),
+    (["flags3", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["flags3", "--samples", "-1"], "--samples must be at least 1, got -1"),
+    (["flags3", "--restarts", "0"], "--restarts must be at least 1, got 0"),
+    (["verify", "certificates", "--samples", "0"],
+     "--samples must be at least 1, got 0"),
+    (["verify", "block-product", "--samples", "0"],
+     "--samples must be at least 1, got 0"),
+    (["verify", "lambda-family", "--max-n", "1"],
+     "--max-n must be at least 3, got 1"),
+    (["verify", "all", "--max-n", "2"], "--max-n must be at least 3, got 2"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
         "n-against-the-family-pair", "n-against-the-family-stabdim",
-        "family-and-pattern"])
+        "family-and-pattern", "pattern-a-number", "pattern-not-pairs",
+        "pattern-null", "pattern-float-index", "pattern-bool-index",
+        "flags3-no-samples", "flags3-negative-samples", "flags3-no-restarts",
+        "certificates-no-samples",
+        "block-product-no-samples", "lambda-family-below-3", "all-below-3"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zeropat: error: " + message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read --matrix"),
+    ("[[1, 2, 3], [4, 5, 6], [7, 8, 9]]", "--matrix rows must be lists of [re, im] pairs"),
+    ("[[[1, 0, 0]]]", "--matrix rows must be lists of [re, im] pairs"),
+    ('[[["1", 0]]]', "--matrix rows must be lists of [re, im] pairs"),
+    ("null", "--matrix rows must be lists of [re, im] pairs"),
+    ("[[[1, 0], [0, 0]], [[0, 0]]]", "--matrix rows must be lists of [re, im] pairs"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "expected a 3 x 3 matrix"),
+], ids=["missing-file", "numbers-not-pairs", "triples", "string-entry", "null",
+        "ragged", "2-by-2"])
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "m.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--matrix", str(path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "zeropat: error: " + message in err

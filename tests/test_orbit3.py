@@ -19,6 +19,7 @@ from zeropat.orbit3 import (
     haar_unitaries,
     haar_unitary,
     invariants,
+    is_transversal_at,
     numeric_reduce,
     poly_P1,
     poly_P2_ratio,
@@ -201,6 +202,21 @@ def test_numeric_reduce_validation():
         A[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             numeric_reduce(A, ne(3), 3, restarts=5)
+    with pytest.raises(ValueError, match="at least one restart"):
+        numeric_reduce(random_traceless(np.random.default_rng(14), 3), ne(3), 3, restarts=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [
+    invariants, orbit3.poly_P, poly_P1, poly_P2_ratio, is_transversal_at,
+], ids=lambda fn: fn.__name__)
+def test_non_finite_input_is_rejected(fn, bad):
+    A = random_cyclic_subspace(np.random.default_rng(16))
+    A[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(A)
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(np.full((3, 3), bad))
 
 
 def test_count_flags_validation():
@@ -218,9 +234,35 @@ def test_count_flags_validation():
         count_flags(np.eye(3), restarts=5)
 
 
-def test_surface_pair_genericity_report():
-    from zeropat.orbit3 import surface_pair_genericity_report
+def surface_pair_genericity_report(restarts, seed):
+    """Numerical genericity evidence for the two unitarily similar reference
+    matrices lying on the degree-12 hypersurface.
 
+    A matrix is generic when its orbit meets the pattern subspace
+    transversally at every intersection point; this report counts the torus
+    clusters of each matrix and evaluates the degree-6 factor and the
+    transversality test at each cluster.
+    """
+    out = {}
+    for name, M in (("pair_a", SURFACE_PAIR_A), ("pair_b", SURFACE_PAIR_B)):
+        res = count_flags(M, restarts=restarts, seed=seed)
+        transversal = [is_transversal_at(s.reduced) for s in res.solutions]
+        out[name] = {
+            "num_flags": res.num_flags,
+            "min_abs_p1": min(abs(p) for p in res.cluster_p1) if res.cluster_p1 else None,
+            "all_clusters_transversal": bool(all(transversal)),
+            "numerically_generic": bool(res.generic and all(transversal)),
+        }
+    out["matrices_similar"] = bool(
+        np.allclose(
+            np.sort_complex(np.linalg.eigvals(SURFACE_PAIR_A)),
+            np.sort_complex(np.linalg.eigvals(SURFACE_PAIR_B)),
+        )
+    )
+    return out
+
+
+def test_surface_pair_genericity_report():
     rep = surface_pair_genericity_report(restarts=800, seed=0)
     assert rep["matrices_similar"]
     for key in ("pair_a", "pair_b"):

@@ -6,11 +6,9 @@ import pytest
 
 from zeropat.patterns import (
     Pattern,
-    alternating_rows,
     block_extend,
     cyclic3,
     delta,
-    interleave_perm,
     j_core,
     j_core_half,
     j_family,
@@ -21,15 +19,14 @@ from zeropat.patterns import (
     ne,
     nw,
     parse_family,
-    perm_compose,
-    perm_inverse,
     perm_sign,
     pi_family,
-    random_permutation,
     se,
     sw,
 )
 from zeropat.verify import random_strict
+
+from oracles import random_permutation
 
 
 def test_position_validation():
@@ -95,7 +92,8 @@ def test_apply_perm():
         I = random_strict(rng, 5)
         p = random_permutation(rng, 5)
         q = random_permutation(rng, 5)
-        assert I.apply_perm(q).apply_perm(p) == I.apply_perm(perm_compose(p, q))
+        p_after_q = tuple(p[q[i] - 1] for i in range(5))
+        assert I.apply_perm(q).apply_perm(p) == I.apply_perm(p_after_q)
     with pytest.raises(ValueError):
         I.apply_perm((1, 1))
 
@@ -103,8 +101,6 @@ def test_apply_perm():
 def test_perm_helpers():
     assert perm_sign((1, 2, 3)) == 1
     assert perm_sign((2, 1, 3)) == -1
-    p = (3, 1, 2)
-    assert perm_compose(p, perm_inverse(p)) == (1, 2, 3)
 
 
 def test_lambda_prime_maps_onto_lambda():
@@ -228,6 +224,27 @@ def test_staircase_validation():
 
 
 def test_pi_is_staircase_instance():
+    def interleave_perm(n):
+        """The permutation 1, n, 2, n-1, ... sending 2k-1 to k and 2k to n+1-k."""
+        p = [0] * n
+        for k in range(1, n // 2 + 1):
+            p[2 * k - 1 - 1] = k
+            p[2 * k - 1] = n + 1 - k
+        if n % 2:
+            p[n - 1] = (n + 1) // 2
+        return tuple(p)
+
+    def alternating_rows(n):
+        """The signed sequence 1, -1, 2, -2, ... of length n - 1."""
+        out = []
+        k = 1
+        while len(out) < n - 1:
+            out.append(k)
+            if len(out) < n - 1:
+                out.append(-k)
+            k += 1
+        return tuple(out)
+
     for n in (4, 5, 6):
         assert pi_family(n) == j_family(interleave_perm(n), alternating_rows(n))
 

@@ -5,14 +5,7 @@ import random
 
 import pytest
 
-from zeropat.patterns import (
-    Pattern,
-    delta,
-    mu,
-    ne,
-    random_permutation,
-    transposition,
-)
+from zeropat.patterns import Pattern, delta, mu, ne
 from zeropat.stabdim import (
     constraint_rows,
     float_system_rank,
@@ -22,6 +15,8 @@ from zeropat.stabdim import (
     traceless_basis,
 )
 from zeropat.verify import random_strict
+
+from oracles import random_permutation, transposition
 
 
 def bareiss_dim(I, n):
