@@ -156,6 +156,7 @@ def cmd_verify(args) -> int:
     # hessenberg starts at n = 3
     _require_at_least("--max-n", args.max_n, 3)
     _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--seed", args.seed, 0)
     reports = []
     ok = True
     for name in names:
@@ -174,6 +175,7 @@ def cmd_flags3(args) -> int:
 
     _require_at_least("--samples", args.samples, 1)
     _require_at_least("--restarts", args.restarts, 1)
+    _require_at_least("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     samples = []
     all_ok = True

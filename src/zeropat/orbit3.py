@@ -78,6 +78,16 @@ def intertwiner_matrix() -> np.ndarray:
     )
 
 
+def _square(A, n: int = 3) -> np.ndarray:
+    """A as a complex array; ValueError unless it is a finite n x n matrix."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix: {A.shape} does not match")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
+    return A
+
+
 # -- scalar invariants -----------------------------------------------------------
 
 
@@ -87,11 +97,7 @@ def invariants(X) -> np.ndarray:
 
     The adjoint enters through Y = X*; all sixteen values are real.
     """
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (3, 3):
-        raise ValueError("expected a 3 x 3 matrix")
-    if not np.isfinite(X).all():
-        raise ValueError("matrix has a non-finite entry")
+    X = _square(X)
     Y = X.conj().T
     X2 = X @ X
     Y2 = Y @ Y
@@ -283,23 +289,17 @@ def poly_P(X) -> float:
     Evaluated on the unit-norm rescaling and scaled back, so the relative
     precision is uniform across input scales.
     """
-    X = np.asarray(X, dtype=complex)
+    X = _square(X)
     s = float(np.linalg.norm(X))
     if s == 0.0:
         return 0.0
-    if not math.isfinite(s):
-        raise ValueError("matrix has a non-finite entry")
     return poly_p_from_invariants(invariants(X / s)) * s**24
 
 
 def _cyclic_entries(A):
     """Split a pattern-subspace matrix into its five free entries u, v, w, x,
     y, z; reject matrices outside the subspace."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (3, 3):
-        raise ValueError("expected a 3 x 3 matrix")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has a non-finite entry")
+    A = _square(A)
     tol = 1e-9 * max(float(np.linalg.norm(A)), 1.0)
     for (i, j) in CYCLIC_PATTERN:
         if abs(A[i - 1, j - 1]) > tol:
@@ -812,6 +812,16 @@ def gauss_newton_reduce(
     )
 
 
+def _seeded_reduce(A, I: Pattern, restarts: int, seed: int, max_iter: int):
+    """``gauss_newton_reduce`` of A into the subspace of pattern I, in one call
+    from the first ``restarts`` Haar draws of ``np.random.default_rng(seed)``,
+    up to max_iter steps each; ValueError without a restart."""
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    starts = haar_unitaries(np.random.default_rng(seed), restarts, A.shape[0])
+    return gauss_newton_reduce(A, starts, list(I), max_iter)
+
+
 def numeric_reduce(
     A,
     I: Pattern,
@@ -830,19 +840,12 @@ def numeric_reduce(
     """
     if n not in (2, 3, 4):
         raise ValueError("reducer is budgeted for n in {2, 3, 4}")
-    if restarts < 1:
-        raise ValueError("numeric_reduce needs at least one restart")
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (n, n):
-        raise ValueError("matrix size does not match n")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has a non-finite entry")
+    A = _square(A, n)
     I.check_within(n)
     s = float(np.linalg.norm(A))
     if s == 0.0:
         return FlagSolution(np.eye(n, dtype=complex), A.copy(), 0.0)
-    starts = haar_unitaries(np.random.default_rng(seed), restarts, n)
-    U, _, res, _ = gauss_newton_reduce(A / s, starts, list(I), 80)
+    U, _, res, _ = _seeded_reduce(A / s, I, restarts, seed, 80)
     hit = np.flatnonzero(res <= RESID_TOL)
     if hit.size == 0:
         return None
@@ -922,64 +925,51 @@ def count_flags(
     traceless part); it is made traceless and normalized to unit Frobenius
     norm first.  Each restart takes up to 60 Gauss-Newton steps and has
     converged when its squared residual is at most RESID_TOL; the converged
-    endpoints are clustered by ``torus_equivalent``.  The count equals the number of flags
-    reducing A into the subspace when every intersection point is
-    transversal; a sample with a cluster whose |P1| is below 1e-6 is marked
-    non-generic.  The clusters are grouped by P1 rounded to TORUS_TOL.  All
-    restarts go through one ``gauss_newton_reduce`` call, which steps at most
-    _BLOCK of them at a time; the outputs do not depend on _BLOCK.
+    endpoints are clustered by the torus match of ``torus_equivalent``, and
+    the z-orbit of the clusters is checked by the same match.  The count
+    equals the number of flags reducing A into the subspace when every
+    intersection point is transversal; a sample with a cluster whose |P1| is
+    below 1e-6 is marked non-generic.  The clusters are grouped by P1 rounded
+    to TORUS_TOL.  All restarts go through one ``gauss_newton_reduce`` call,
+    which steps at most _BLOCK of them at a time; the outputs do not depend
+    on _BLOCK.
     """
-    if restarts < 1:
-        raise ValueError("count_flags needs at least one restart")
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (3, 3):
-        raise ValueError("expected a 3 x 3 matrix")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has a non-finite entry")
+    A = _square(A)
     A = A - np.trace(A) / 3 * np.eye(3)
     s = float(np.linalg.norm(A))
     if s == 0.0:
         raise ValueError("zero matrix")
-    A = A / s
-    starts = haar_unitaries(np.random.default_rng(seed), restarts, 3)
-    U, B, res, taken = gauss_newton_reduce(A, starts, list(CYCLIC_PATTERN), 60)
+    U, B, res, taken = _seeded_reduce(A / s, CYCLIC_PATTERN, restarts, seed, 60)
     converged = np.flatnonzero(res <= RESID_TOL)
     U, B, res = U[converged], B[converged], res[converged]
     labels = _torus_clusters(B)
-    first = np.unique(labels, return_index=True)[1]
+    _, first, hits = np.unique(labels, return_index=True, return_counts=True)
     # copies, so a census does not keep every endpoint of the run alive
     reps = [FlagSolution(U[k].copy(), B[k].copy(), float(res[k])) for k in first]
-    hits = np.bincount(labels).tolist()
-    n_converged = int(converged.size)
-    p1s = [float(poly_P1(r.reduced)) for r in reps]
-    z = CYCLE_MATRIX
-    z_closed = True
-    for rep, p1 in zip(reps, p1s):
-        img = z @ rep.reduced @ z.T
-        for k, other in enumerate(reps):
-            if torus_equivalent(img, other.reduced):
-                if abs(p1s[k] - p1) > 1e-6:
-                    z_closed = False
-                break
-        else:
-            z_closed = False
-    generic = bool(reps) and bool(min(abs(p) for p in p1s) >= 1e-6)
-    groups: dict[int, int] = {}
-    for p in p1s:
-        key = round(p / TORUS_TOL)
-        groups[key] = groups.get(key, 0) + 1
-    incomplete = n_converged < max(10, restarts // 200)
+    p1 = np.array([poly_P1(r.reduced) for r in reps], dtype=float)
+    # each z C z^T against every cluster C; it permutes C's entries exactly
+    z = CYCLE_MATRIX.argmax(axis=1)
+    C = B[first]
+    match = _torus_match(
+        tuple(x[:, None] for x in _torus_invariants(C[:, z[:, None], z])),
+        tuple(x[None] for x in _torus_invariants(C)),
+    )
+    # the first match in each row decides; argmax needs a row to pick from
+    k = match.argmax(axis=1) if reps else first
+    z_closed = bool(np.all(match.any(axis=1) & (np.abs(p1[k] - p1) <= 1e-6)))
+    generic = bool(reps) and bool(np.abs(p1).min() >= 1e-6)
+    groups = np.unique(np.round(p1 / TORUS_TOL), return_counts=True)[1]
     return FlagCensus(
         num_flags=len(reps),
         solutions=reps,
-        cluster_hits=hits,
-        cluster_p1=p1s,
+        cluster_hits=hits.tolist(),
+        cluster_p1=p1.tolist(),
         n_restarts=restarts,
-        n_converged=n_converged,
+        n_converged=int(converged.size),
         generic=generic,
         z_orbit_closed=z_closed,
-        p1_group_sizes=sorted(groups.values(), reverse=True),
-        incomplete=incomplete,
+        p1_group_sizes=sorted(groups.tolist(), reverse=True),
+        incomplete=converged.size < max(10, restarts // 200),
         last_new_cluster=int(converged[first[-1]]) if reps else None,
         gn_iterations=np.bincount(taken).tolist(),
     )

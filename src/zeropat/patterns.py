@@ -35,7 +35,7 @@ class Pattern:
         pos = set()
         for p in positions:
             i, j = p
-            if not isinstance(i, int) or not isinstance(j, int):
+            if type(i) is not int or type(j) is not int:
                 raise TypeError(f"positions must be pairs of ints, got {p!r}")
             if i < 1 or j < 1:
                 raise ValueError(f"position indices are 1-based, got {p!r}")
@@ -90,6 +90,9 @@ class Pattern:
         )
 
     def check_within(self, n: int) -> None:
+        """ValueError unless n >= 1 and every position lies in the n x n grid."""
+        if n < 1:
+            raise ValueError(f"grid size must be at least 1, got {n}")
         for i, j in self._positions:
             if i > n or j > n:
                 raise ValueError(f"position {(i, j)} outside the {n} x {n} grid")

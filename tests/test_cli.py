@@ -161,6 +161,16 @@ def test_verify_unknown_suite_rejected(capsys):
     (["verify", "lambda-family", "--max-n", "1"],
      "--max-n must be at least 3, got 1"),
     (["verify", "all", "--max-n", "2"], "--max-n must be at least 3, got 2"),
+    (["pair", "--n", "0", "--pattern", "[]", "--format", "text"],
+     "grid size must be at least 1, got 0"),
+    (["pair", "--n", "-3", "--pattern", "[]"],
+     "grid size must be at least 1, got -3"),
+    (["stabdim", "--n", "-2", "--pattern", "[]"],
+     "grid size must be at least 1, got -2"),
+    (["flags3", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["verify", "certificates", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
+    (["verify", "jfamily", "--seed", "-1"], "--seed must be at least 0, got -1"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
@@ -169,7 +179,10 @@ def test_verify_unknown_suite_rejected(capsys):
         "pattern-null", "pattern-float-index", "pattern-bool-index",
         "flags3-no-samples", "flags3-negative-samples", "flags3-no-restarts",
         "certificates-no-samples",
-        "block-product-no-samples", "lambda-family-below-3", "all-below-3"])
+        "block-product-no-samples", "lambda-family-below-3", "all-below-3",
+        "pair-empty-grid", "pair-negative-grid", "stabdim-negative-grid",
+        "flags3-negative-seed", "certificates-negative-seed",
+        "jfamily-negative-seed"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

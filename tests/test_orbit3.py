@@ -513,6 +513,17 @@ def test_torus_clusters_match_the_greedy_loop():
             assert torus_equivalent(B, C) == torus_equivalent_scalar(B, C)
 
 
+def test_count_flags_with_no_converged_restart(monkeypatch):
+    monkeypatch.setattr(orbit3, "RESID_TOL", -1.0)
+    res = count_flags(flags3_panel(1), restarts=20, seed=4)
+    assert res.num_flags == 0 and res.n_converged == 0
+    assert res.solutions == res.cluster_hits == res.cluster_p1 == []
+    assert res.p1_group_sizes == []
+    assert res.generic is False and res.z_orbit_closed is True
+    assert res.incomplete is True and res.last_new_cluster is None
+    assert sum(res.gn_iterations) == 20
+
+
 def test_count_flags_does_not_depend_on_the_block_size(monkeypatch):
     A = flags3_panel(1)
     want = count_flags(A, restarts=300, seed=4)

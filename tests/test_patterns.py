@@ -34,6 +34,8 @@ def test_position_validation():
         Pattern([(0, 1)])
     with pytest.raises(TypeError):
         Pattern([(1.5, 2)])
+    with pytest.raises(TypeError):
+        Pattern([(True, 2)])
     assert len(Pattern([(1, 2), (1, 2)])) == 1
 
 

@@ -155,6 +155,11 @@ def test_pairing_degree_mismatch_is_zero():
     assert pair_with_vandermonde(Pattern(), 2) == 0
 
 
+def test_pairing_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="grid size must be at least 1, got 0"):
+        pair_with_vandermonde(Pattern(), 0)
+
+
 def test_pairing_rejects_diagonal():
     with pytest.raises(ValueError):
         pair_with_vandermonde(Pattern([(1, 1), (1, 2), (2, 1)]), 2)
