@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .patterns import Pattern, j_hessenberg, mu, ne
+from .patterns import Pattern, mu
 from .polynomials import (
     norm_squared,
     pair_with_vandermonde,
@@ -308,117 +308,7 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
     return census, records
 
 
-# -- reports over specific slices ------------------------------------------------
-
-
-def audit_exceptional4() -> dict:
-    """Audit of the seven exceptional classes for n = 4: each is singular,
-    not defective, the classes are pairwise distinct, and together they are
-    exactly the exceptional classes of the full census."""
-    n = 4
-    per_pattern = []
-    canon_forms = set()
-    for I in EXCEPTIONAL_4:
-        pairing = pair_with_vandermonde(I, n)
-        sd = stabilizer_dim(I, n)
-        canon = canonical_form(I, n)
-        canon_forms.add(canon.mask(n))
-        per_pattern.append(
-            {
-                "pattern": I.to_json(),
-                "pairing": pairing,
-                "stab_dim": sd,
-                "singular": pairing == 0,
-                "non_defective": sd <= n,
-            }
-        )
-    census, records = classify_all(n)
-    census_exceptional = {
-        r.canonical.mask(n) for r in records if r.status == STATUS_EXCEPTIONAL
-    }
-    report = {
-        "patterns": per_pattern,
-        "all_singular": all(p["singular"] for p in per_pattern),
-        "all_non_defective": all(p["non_defective"] for p in per_pattern),
-        "num_distinct_classes": len(canon_forms),
-        "exhausts_exceptional_classes": canon_forms == census_exceptional,
-        "passed": False,
-    }
-    report["passed"] = (
-        report["all_singular"]
-        and report["all_non_defective"]
-        and report["num_distinct_classes"] == 7
-        and report["exhausts_exceptional_classes"]
-    )
-    return report
-
-
-def complexity_one_case_a(n: int) -> Pattern:
-    """Representative with the doubled pair and the missing pair sharing an
-    index: upper triangle minus (1,2) plus (3,1)."""
-    return Pattern([p for p in ne(n) if p != (1, 2)] + [(3, 1)])
-
-
-def complexity_one_case_b(n: int) -> Pattern:
-    """Representative with the doubled pair and the missing pair disjoint:
-    upper triangle minus (1,2) plus (4,3)."""
-    return Pattern([p for p in ne(n) if p != (1, 2)] + [(4, 3)])
-
-
-def check_complexity_one(n: int) -> dict:
-    """Complexity-1 patterns fall into two flip-equivalence classes; the class
-    of case (a) has pairing of magnitude n!/2, the class of case (b) is
-    singular and defective."""
-    if n < 4:
-        raise ValueError("the two-class split needs n >= 4")
-    a = complexity_one_case_a(n)
-    b = complexity_one_case_b(n)
-    pa = pair_with_vandermonde(a, n)
-    pb = pair_with_vandermonde(b, n)
-    report = {
-        "n": n,
-        "case_a_pairing": pa,
-        "case_b_pairing": pb,
-        "case_a_magnitude_ok": abs(pa) == math.factorial(n) // 2,
-        "case_b_singular": pb == 0,
-        "case_b_defective": stabilizer_dim(b, n) > n,
-    }
-    keys = {weak_canonical_form(a, n), weak_canonical_form(b, n)}
-    report["distinct_weak_classes"] = len(keys)
-    if n <= MAX_ENUM_N:
-        # complexity is a class invariant, so whole classes are in or out
-        count = 0
-        weak_keys = set()
-        for rep_mask, orbit_size in _class_walk(n):
-            if Pattern.from_mask(rep_mask, n).complexity() == 1:
-                count += orbit_size
-                weak_keys.add(_weak_code(rep_mask, n))
-        report["num_complexity_one_patterns"] = count
-        report["num_weak_classes"] = len(weak_keys)
-    else:
-        report["num_weak_classes"] = None
-    report["passed"] = (
-        report["case_a_magnitude_ok"]
-        and report["case_b_singular"]
-        and report["case_b_defective"]
-        and report["distinct_weak_classes"] == 2
-        and (report["num_weak_classes"] in (None, 2))
-    )
-    return report
-
-
-def verify_hessenberg(max_n: int = 7) -> dict:
-    """Pairings of the Hessenberg-band family against the closed form
-    (-1)^(n-1) C(n,k) C(n-2,k-1) for all 3 <= n <= max_n, 1 <= k <= n-1."""
-    rows = []
-    ok = True
-    for n in range(3, max_n + 1):
-        for k in range(1, n):
-            got = pair_with_vandermonde(j_hessenberg(k, n), n)
-            expect = (-1) ** (n - 1) * math.comb(n, k) * math.comb(n - 2, k - 1)
-            rows.append({"n": n, "k": k, "pairing": got, "expected": expect})
-            ok = ok and got == expect
-    return {"rows": rows, "passed": ok}
+# -- the extremal scan ------------------------------------------------------------
 
 
 def _sampled_classes(n: int, sample: int, seed: int) -> list[tuple[int, int]]:

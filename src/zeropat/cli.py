@@ -29,7 +29,7 @@ import numpy as np
 from .classify import ClassRecord, classify_all, load_expected
 from .patterns import Pattern, parse_family
 from .polynomials import pair_with_vandermonde
-from .stabdim import is_defective, stabilizer_dim
+from .stabdim import stabilizer_dim
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -225,7 +225,9 @@ def cmd_flags3(args) -> int:
 def cmd_stabdim(args) -> int:
     I, n = _resolve_pattern(args)
     dim = stabilizer_dim(I, n)
-    defective = is_defective(I, n)
+    # ``is_defective``, without computing the dimension a second time
+    bound = n * n - 2 * len(I)
+    defective = dim > bound
     if args.format == "text":
         print(f"stabilizer dimension: {dim}")
         print(f"defective: {'yes' if defective else 'no'}")
@@ -237,7 +239,7 @@ def cmd_stabdim(args) -> int:
                 "pattern": I.to_json(),
                 "stab_dim": dim,
                 "defective": defective,
-                "bound": n * n - 2 * len(I),
+                "bound": bound,
             },
             args,
         )

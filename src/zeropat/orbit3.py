@@ -56,28 +56,6 @@ CYCLE_MATRIX = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
 CYCLIC_PATTERN = cyclic3()
 
 
-def intertwiner_matrix() -> np.ndarray:
-    """The explicit unitary X with GAMMA1_MATRIX @ X = X @ GAMMA2_MATRIX,
-    entries in closed radical form."""
-    s69 = _SQ69
-    d = 6 * math.sqrt(37 - s69)
-    s6 = math.sqrt(6.0)
-    s46 = math.sqrt(46.0)
-    s13 = math.sqrt(13.0)
-    x11 = (2 * (s69 - 7) - 1j * (3 + s69)) / d
-    x12 = (1 + 3j) * (1j * s6 - s46) / (12 * s13)
-    x13 = (s46 + s6) / 12
-    x21 = ((3 - 1j) * s69 + 34 + 27j) / (15 * math.sqrt(37 - s69))
-    x22 = 4 * (s46 - s6) / (15 * s13) + 1j * (23 * s6 - 3 * s46) / (60 * s13)
-    x23 = (3 - 1j) * (3 * s6 - 1j * s46) / 60
-    x31 = (2 * (2 - s69) - 1j * (3 + s69)) / d
-    x32 = 4 * (s6 + s46) / (15 * s13) + 1j * (23 * s6 + 3 * s46) / (60 * s13)
-    x33 = (s46 - s6) / 12
-    return np.array(
-        [[x11, x12, x13], [x21, x22, x23], [x31, x32, x33]], dtype=complex
-    )
-
-
 def _square(A, n: int = 3) -> np.ndarray:
     """A as a complex array; ValueError unless it is a finite n x n matrix."""
     A = np.asarray(A, dtype=complex)
@@ -768,10 +746,11 @@ def gauss_newton_reduce(
     r2 = np.einsum("ir,ir->r", r, r)
     R = U.shape[-1]
     steps = np.zeros(R, dtype=np.intp)
-    tried = np.zeros(R, dtype=np.intp)
     live = np.ones(R, dtype=bool)
     while True:
-        live &= (r2 > RESID_TOL) & (tried < max_iter)
+        # a start leaves ``live`` at its first failed line search, so a live
+        # start has taken a step at each of its attempts
+        live &= (r2 > RESID_TOL) & (steps < max_iter)
         idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
@@ -796,7 +775,6 @@ def gauss_newton_reduce(
             if not searching.any():
                 break
             step *= 0.5
-        tried[idx] += 1
         steps[idx[~searching]] += 1
         live[idx[searching]] = False
     # one Newton-Schulz step toward the polar factor: the endpoints are
@@ -973,134 +951,3 @@ def count_flags(
         last_new_cluster=int(converged[first[-1]]) if reps else None,
         gn_iterations=np.bincount(taken).tolist(),
     )
-
-
-# -- invariant identities on small subspaces ------------------------------------------
-
-
-def _first_subspace_p(ivec) -> float:
-    i1, i2, i3, i4, i5, i6, i7, i8 = ivec[0:8]
-    i11 = ivec[10]
-    i13 = ivec[12]
-    return (
-        (2 * i4 + 3 * i5 - i6) ** 2
-        + 4 * i1 * (i2 - i3) * (i1 * i3 - 6 * i5)
-        + 4 * i1**2 * (i1 * i5 + i8 - i7)
-        + 4 * i1 * i2 * (i6 - i4)
-        + 4 * i8 * (5 * i3 - 4 * i2)
-        + 16 * i3**2 * (2 * i2 - i3)
-        + 4 * i7 * (2 * i2 - 3 * i3)
-        + 4 * i2**2 * (i2 - 5 * i3)
-        + 8 * (i1 * i11 - i13)
-    )
-
-
-def _second_subspace_p(ivec) -> float:
-    i1, i2, i3 = ivec[0], ivec[1], ivec[2]
-    return i1**2 + 4 * (i3 - i2)
-
-
-def check_nonuniversality_invariants(samples: int = 100, seed: int = 0) -> dict:
-    """Certificates behind two non-universal 3 x 3 subspaces: an invariant
-    polynomial that is a perfect square on each subspace yet negative on the
-    diagonal matrices with independent eigenvalue directions.
-
-    Checks both closed forms on random members and the negativity of the
-    diagonal evaluations, and counts the draws whose two diagonal signs lie
-    above the double-precision noise floor.
-    """
-    rng = np.random.default_rng(seed)
-    rel_tol = 1e-8
-    ok_first = ok_second = ok_diag = True
-    worst = 0.0
-    decided = 0
-
-    def cx():
-        return rng.normal() + 1j * rng.normal()
-
-    for _ in range(samples):
-        x, y, z, u, v = (cx() for _ in range(5))
-        A = np.array([[0, 0, x], [0, z, y], [u, v, -z]], dtype=complex)
-        # both sides are homogeneous: evaluate at unit Frobenius norm so the
-        # tolerance is relative to the natural scale
-        s = float(np.linalg.norm(A))
-        A = A / s
-        x, y, z, u, v = (t / s for t in (x, y, z, u, v))
-        got = _first_subspace_p(invariants(A))
-        z1, z2 = z.real, z.imag
-        u1, u2 = u.real, u.imag
-        x1, x2 = x.real, x.imag
-        expect = (abs(u) ** 2 - abs(x) ** 2) ** 2 * (
-            abs(x - u.conjugate()) ** 2 * z1**2
-            - 4 * (u1 * x2 + u2 * x1) * z1 * z2
-            + abs(x + u.conjugate()) ** 2 * z2**2
-        ) ** 2
-        scale = max(1.0, abs(got), abs(expect))
-        err = abs(got - expect) / scale
-        worst = max(worst, err)
-        ok_first = ok_first and err < rel_tol
-
-        A2 = np.array([[0, x, y], [u, z, 0], [v, 0, -z]], dtype=complex)
-        s2 = float(np.linalg.norm(A2))
-        A2 = A2 / s2
-        got2 = _second_subspace_p(invariants(A2))
-        expect2 = (
-            (abs(u) ** 2 + abs(v) ** 2 - abs(x) ** 2 - abs(y) ** 2) / s2**2
-        ) ** 2
-        scale2 = max(1.0, abs(got2), abs(expect2))
-        err2 = abs(got2 - expect2) / scale2
-        worst = max(worst, err2)
-        ok_second = ok_second and err2 < rel_tol
-
-        uu, vv = cx(), cx()
-        sd = float(np.linalg.norm(np.array([uu, vv, -uu - vv])))
-        uu, vv = uu / sd, vv / sd
-        D = np.diag([uu, vv, -uu - vv])
-        cross = uu.real * vv.imag - uu.imag * vv.real
-        d1 = _first_subspace_p(invariants(D))
-        d2 = _second_subspace_p(invariants(D))
-        # the first certificate is degree 12 in the entries, so its diagonal
-        # restriction is the sixth power of the cross term (checked
-        # symbolically); the second is degree 4 and quadratic in it
-        e1 = -64 * cross**6
-        e2 = -4 * cross**2
-        err3 = max(
-            abs(d1 - e1) / max(1.0, abs(e1)), abs(d2 - e2) / max(1.0, abs(e2))
-        )
-        worst = max(worst, err3)
-        ok_diag = ok_diag and err3 < rel_tol
-        # the sign is decidable in doubles only above the noise floor
-        if abs(e1) > 1e-12:
-            ok_diag = ok_diag and d1 < 0
-        if abs(e2) > 1e-12:
-            ok_diag = ok_diag and d2 < 0
-        decided += abs(e1) > 1e-12 and abs(e2) > 1e-12
-
-    return {
-        "samples": samples,
-        "first_subspace_identity": bool(ok_first),
-        "second_subspace_identity": bool(ok_second),
-        "diagonal_closed_forms": bool(ok_diag),
-        "diagonal_signs_decided": decided,
-        "worst_rel_error": float(worst),
-        "passed": bool(ok_first and ok_second and ok_diag),
-    }
-
-
-def check_intertwiner() -> dict:
-    """Residuals of the closed-form unitary intertwining the two reference
-    matrices: unitarity, the intertwining relation, and spectral agreement."""
-    X = intertwiner_matrix()
-    A = GAMMA1_MATRIX
-    B = GAMMA2_MATRIX
-    unitarity = float(np.linalg.norm(X.conj().T @ X - np.eye(3)))
-    intertwine = float(np.linalg.norm(A @ X - X @ B))
-    ea = np.sort_complex(np.linalg.eigvals(A))
-    eb = np.sort_complex(np.linalg.eigvals(B))
-    spectra = float(np.max(np.abs(ea - eb)))
-    return {
-        "unitarity_residual": unitarity,
-        "intertwining_residual": intertwine,
-        "spectral_gap": spectra,
-        "passed": unitarity <= 1e-9 and intertwine <= 1e-9 and spectra <= 1e-9,
-    }

@@ -16,6 +16,7 @@ Permutations of {1..n} are represented as tuples of images, 1-based:
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 
 Position = tuple[int, int]
@@ -407,27 +408,14 @@ def parse_family(text: str) -> tuple[Pattern, int]:
 
 
 def _parse_kv_ints(text: str) -> dict[str, list[int]]:
+    """``key=[a,b,...]`` items joined by commas, as lists of ints by key."""
     out: dict[str, list[int]] = {}
-    depth = 0
-    chunk = ""
-    chunks = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append(chunk)
-            chunk = ""
-        else:
-            chunk += ch
-    if chunk:
-        chunks.append(chunk)
-    for c in chunks:
-        key, _, val = c.partition("=")
-        key = key.strip()
+    for item in re.split(r"(?<=\])\s*,", text):
+        m = re.fullmatch(r"\s*(\w+)\s*=\s*\[([^\[\]]*)\]\s*", item)
+        if m is None:
+            raise ValueError(f"expected key=[...], got {item!r}")
+        key, val = m.groups()
         if key in out:
             raise ValueError(f"key {key!r} is given twice")
-        val = val.strip().strip("[]")
         out[key] = [int(v) for v in val.split(",") if v.strip()]
     return out

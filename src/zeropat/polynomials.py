@@ -75,11 +75,7 @@ class Poly:
         self._require_same(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return Poly(self.nvars, out)
 
     __radd__ = __add__
@@ -105,11 +101,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, 0) + c1 * c2
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -186,12 +178,30 @@ class Poly:
 
 # -- core constructions --------------------------------------------------------
 
+#: the permutation table behind the pairing, ``vandermonde`` and the orbit
+#: engine has n! rows, 10! at most; vandermonde(9) alone takes about 1.7 s
+#: and 140 MB
+MAX_PAIR_N = 10
+
+
+def _check_strict(I: Pattern, n: int) -> None:
+    """ValueError unless I lies in the n x n grid with no diagonal position."""
+    I.check_within(n)
+    for i, j in I:
+        if i == j:
+            raise ValueError(f"diagonal position {(i, j)} in pattern")
+
 
 @functools.cache
 def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of range(n), one per row in lexicographic order, and
-    their signs; cached and read-only.  Each size prefixes f to the rows p of
-    the last (shifted past f), with sign (-1)^f times the sign of p."""
+    their signs, for n <= MAX_PAIR_N; cached and read-only.  Each size
+    prefixes f to the rows p of the last (shifted past f), with sign (-1)^f
+    times the sign of p."""
+    if n > MAX_PAIR_N:
+        raise ValueError(
+            f"permutation tables are budgeted for n <= {MAX_PAIR_N}, got {n}"
+        )
     perms, signs = np.zeros((1, 0), dtype=np.int8), np.ones(1, dtype=np.int8)
     for m in range(1, n + 1):
         perms = np.concatenate([
@@ -223,11 +233,9 @@ def chi(I: Pattern, n: int) -> Poly:
     Diagonal positions are rejected; the zero polynomial is never returned
     silently.
     """
-    I.check_within(n)
+    _check_strict(I, n)
     out = Poly.const(n, 1)
     for i, j in I:
-        if i == j:
-            raise ValueError(f"diagonal position {(i, j)}: the product vanishes")
         out = out * (Poly.variable(n, i) - Poly.variable(n, j))
     return out
 
@@ -250,8 +258,6 @@ def staircase_coefficient(exps: Sequence[int]) -> int:
     return perm_sign([n - e for e in exps])
 
 
-#: the pairing sums over a table of all n! permutations, 10! rows at most
-MAX_PAIR_N = 10
 #: |pairing| <= sum of |coefficients of chi(I)| <= 2^mu(n), below half their
 #: product for n <= 11, so the residues determine the pairing
 _PRIMES = (2**31 - 1, 2**31 - 19)
@@ -270,10 +276,7 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
     Chinese remainder theorem.  A pattern whose size differs from mu(n)
     pairs to zero by homogeneity.
     """
-    I.check_within(n)
-    for i, j in I:
-        if i == j:
-            raise ValueError(f"diagonal position {(i, j)} in pattern")
+    _check_strict(I, n)
     if n > MAX_PAIR_N:
         raise ValueError(f"pairings are evaluated for n <= {MAX_PAIR_N}, got {n}")
     if len(I) != mu(n):
@@ -294,10 +297,7 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
 def norm_squared(I: Pattern, n: int) -> int:
     """Exact inner product of chi(I) with itself: sum of squared coefficients.
     The expansion packs exponents 6 bits per variable, so |I| <= 63."""
-    I.check_within(n)
-    for i, j in I:
-        if i == j:
-            raise ValueError(f"diagonal position {(i, j)} in pattern")
+    _check_strict(I, n)
     if len(I) > 63:
         raise ValueError("too many positions for packed exponents")
     cur: dict[int, int] = {0: 1}
@@ -377,11 +377,7 @@ def diff_apply(f: Poly, g: Poly) -> Poly:
             if not ok:
                 continue
             key = tuple(key)
-            v = out.get(key, 0) + coeff
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + coeff
     return Poly(g.nvars, out)
 
 

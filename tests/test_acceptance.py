@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from zeropat import orbit3
-from zeropat.classify import check_complexity_one, classify_all
+from zeropat.classify import classify_all
 from zeropat.patterns import mu
 from zeropat.verify import load_expected, run_suite
 
@@ -158,8 +158,11 @@ def test_c08_exceptional_audit():
 
 
 def test_c09_complexity_one():
-    for n in (4, 5):
-        rep = check_complexity_one(n)
+    suite = run_suite("complexity1")
+    assert suite["passed"], suite
+    assert [rep["n"] for rep in suite["reports"]] == [4, 5]
+    for rep in suite["reports"]:
+        n = rep["n"]
         assert abs(rep["case_a_pairing"]) == math.factorial(n) // 2, rep
         assert rep["case_b_singular"] and rep["case_b_defective"], rep
         assert rep["num_weak_classes"] == 2, rep

@@ -12,17 +12,12 @@ import pytest
 from zeropat import classify
 from zeropat.classify import (
     EXCEPTIONAL_4,
-    audit_exceptional4,
     canonical_form,
-    check_complexity_one,
     classify_all,
-    complexity_one_case_a,
-    complexity_one_case_b,
     enumerate_strict,
     offdiag_cells,
     scan_extremal,
     strict_count,
-    verify_hessenberg,
     weak_canonical_form,
 )
 from zeropat.patterns import Pattern, j_family, lam, mu
@@ -33,7 +28,15 @@ from zeropat.polynomials import (
     pair_with_vandermonde,
 )
 from zeropat.stabdim import constraint_rows, integer_rank
-from zeropat.verify import load_expected, random_strict
+from zeropat.verify import (
+    check_complexity_one,
+    complexity_one_case_a,
+    complexity_one_case_b,
+    load_expected,
+    random_strict,
+    suite_exceptional4,
+    suite_hessenberg,
+)
 
 from oracles import random_permutation, weak_classes_by_flip_bfs
 
@@ -361,7 +364,7 @@ def test_nonsingularity_constant_on_weak_classes_n4():
 
 
 def test_exceptional4_audit():
-    rep = audit_exceptional4()
+    rep = suite_exceptional4()
     assert rep["passed"], rep
     assert rep["num_distinct_classes"] == 7
 
@@ -392,7 +395,7 @@ def test_complexity_one_representatives():
 
 
 def test_hessenberg_small():
-    rep = verify_hessenberg(max_n=6)
+    rep = suite_hessenberg(max_n=6)
     assert rep["passed"]
     by_nk = {(r["n"], r["k"]): r["pairing"] for r in rep["rows"]}
     assert by_nk[(3, 1)] == 3

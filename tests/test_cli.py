@@ -120,6 +120,13 @@ def test_verify_jfamily_small(capsys):
     assert code == 0
 
 
+def test_every_suite_is_defined_in_verify():
+    from zeropat.verify import SUITES
+
+    modules = {name: suite.__module__ for name, suite in SUITES.items()}
+    assert modules == dict.fromkeys(SUITES, "zeropat.verify")
+
+
 PATTERN_SHAPE = "a pattern is a JSON list of [i, j] pairs of ints"
 
 
@@ -171,6 +178,8 @@ def test_verify_unknown_suite_rejected(capsys):
     (["verify", "certificates", "--seed", "-1"],
      "--seed must be at least 0, got -1"),
     (["verify", "jfamily", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["verify", "derivative-chain", "--max-n", "40"],
+     "derivative-chain is budgeted for max_n <= 7, got 40"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
@@ -182,7 +191,7 @@ def test_verify_unknown_suite_rejected(capsys):
         "block-product-no-samples", "lambda-family-below-3", "all-below-3",
         "pair-empty-grid", "pair-negative-grid", "stabdim-negative-grid",
         "flags3-negative-seed", "certificates-negative-seed",
-        "jfamily-negative-seed"])
+        "jfamily-negative-seed", "derivative-chain-over-budget"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

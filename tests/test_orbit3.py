@@ -106,7 +106,7 @@ def test_p2_ratio():
 
 
 def test_certificate_degenerate_cases():
-    from zeropat.orbit3 import _first_subspace_p, _second_subspace_p
+    from zeropat.verify import _first_subspace_p, _second_subspace_p
 
     # real eigenvalue directions: the certificates vanish on the diagonal
     D = np.diag([1.5, -0.25, -1.25])

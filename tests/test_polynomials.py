@@ -16,6 +16,7 @@ from zeropat.patterns import (
     pi_family,
 )
 from zeropat.polynomials import (
+    MAX_PAIR_N,
     Poly,
     chi,
     complete,
@@ -141,6 +142,15 @@ def test_permutation_table():
         assert perms.tolist() == [list(p) for p in itertools.permutations(range(n))]
         assert signs.tolist() == [perm_sign([v + 1 for v in p]) for p in perms]
         assert not perms.flags.writeable and not signs.flags.writeable
+
+
+def test_permutation_table_budget():
+    # rejected before a row is built: 11! rows would take gigabytes
+    message = f"budgeted for n <= {MAX_PAIR_N}, got {MAX_PAIR_N + 1}"
+    with pytest.raises(ValueError, match=message):
+        permutation_table(MAX_PAIR_N + 1)
+    with pytest.raises(ValueError, match=message):
+        vandermonde(MAX_PAIR_N + 1)
 
 
 def test_pairing_top_of_range():
