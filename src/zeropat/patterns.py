@@ -158,12 +158,16 @@ class Pattern:
 
     @staticmethod
     def from_json(data) -> "Pattern":
-        """The pattern of a JSON list of [i, j] pairs of ints (not bools)."""
+        """The pattern of a JSON list of distinct [i, j] pairs of ints (not
+        bools); unlike the constructor, a repeated position is an error."""
         if not isinstance(data, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
             for p in data
         ):
             raise ValueError(f"a pattern is a JSON list of [i, j] pairs of ints, got {data!r}")
+        for k, p in enumerate(data):
+            if p in data[:k]:
+                raise ValueError(f"repeated position {p} in pattern")
         return Pattern(data)
 
 

@@ -7,6 +7,13 @@ product that makes monomials orthonormal, symmetric functions,
 apolarity-style differential operators, and membership in the ideal
 generated by the nonconstant elementary symmetric functions.
 
+That membership is tested by apolarity: a homogeneous f of degree at most
+mu(n) is a member exactly when f, applied as a differential operator, kills
+the Vandermonde expansion V.  Every monomial of V has the exponents
+{0, ..., n-1}, so the coefficient of x^m in f(d/dx)V is (prod_{j<n} j!) / m!
+times the pairing of x^m f with V: the operator test is the pairing
+criterion for all monomial multipliers at once.
+
 Polynomials are dicts from exponent tuples to big integers; they are treated
 as immutable values after construction.  Everything here is exact, there is
 no floating point in this module.
@@ -192,6 +199,12 @@ def _check_strict(I: Pattern, n: int) -> None:
             raise ValueError(f"diagonal position {(i, j)} in pattern")
 
 
+def require_pair_budget(n: int) -> None:
+    """ValueError unless a pairing in the n x n grid is within MAX_PAIR_N."""
+    if n > MAX_PAIR_N:
+        raise ValueError(f"pairings are evaluated for n <= {MAX_PAIR_N}, got {n}")
+
+
 @functools.cache
 def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of range(n), one per row in lexicographic order, and
@@ -248,16 +261,6 @@ def inner(f: Poly, g: Poly) -> int:
     return sum(c * g.terms.get(e, 0) for e, c in f.terms.items())
 
 
-def staircase_coefficient(exps: Sequence[int]) -> int:
-    """Coefficient of the given monomial in vandermonde(n): the sign of the
-    permutation when the exponents are a permutation of {0..n-1}, else 0."""
-    n = len(exps)
-    if sorted(exps) != list(range(n)):
-        return 0
-    # x_t carries exponent n - sigma^-1(t) in sigma's term; inverses share signs
-    return perm_sign([n - e for e in exps])
-
-
 #: |pairing| <= sum of |coefficients of chi(I)| <= 2^mu(n), below half their
 #: product for n <= 11, so the residues determine the pairing
 _PRIMES = (2**31 - 1, 2**31 - 19)
@@ -277,8 +280,7 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
     pairs to zero by homogeneity.
     """
     _check_strict(I, n)
-    if n > MAX_PAIR_N:
-        raise ValueError(f"pairings are evaluated for n <= {MAX_PAIR_N}, got {n}")
+    require_pair_budget(n)
     if len(I) != mu(n):
         return 0
     perms, signs = permutation_table(n)
@@ -312,46 +314,30 @@ def norm_squared(I: Pattern, n: int) -> int:
     return sum(c * c for c in cur.values())
 
 
+def _symmetric(k: int, n: int, choose) -> Poly:
+    """Sum of the monomials x_{t_1} ... x_{t_k} over the index tuples that
+    ``choose(range(n), k)`` yields, each monomial once."""
+    terms = {}
+    for combo in choose(range(n), k):
+        e = [0] * n
+        for t in combo:
+            e[t] += 1
+        terms[tuple(e)] = 1
+    return Poly(n, terms)
+
+
 def elementary(k: int, n: int) -> Poly:
     """Elementary symmetric polynomial of degree k in n variables."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    terms = {}
-    for combo in itertools.combinations(range(n), k):
-        e = [0] * n
-        for t in combo:
-            e[t] = 1
-        terms[tuple(e)] = 1
-    return Poly(n, terms)
+    return _symmetric(k, n, itertools.combinations)
 
 
 def complete(k: int, n: int) -> Poly:
     """Complete homogeneous symmetric polynomial of degree k in n variables."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    terms = {}
-    for e in compositions(k, n):
-        terms[e] = 1
-    return Poly(n, terms)
-
-
-def compositions(total: int, parts: int):
-    """Yield all tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for c in cut:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
+    return _symmetric(k, n, itertools.combinations_with_replacement)
 
 
 def diff_apply(f: Poly, g: Poly) -> Poly:
@@ -405,10 +391,15 @@ def in_coinvariant_ideal(f: Poly, n: int) -> bool:
     """Membership of a homogeneous f in the ideal generated by the nonconstant
     elementary symmetric polynomials of n variables.
 
-    Uses the pairing criterion: a homogeneous f of degree d <= mu(n) lies in
-    the ideal exactly when every degree-mu(n) monomial multiple of f pairs to
-    zero against the Vandermonde expansion.  Only degrees up to mu(n) are
-    supported.
+    A homogeneous f of degree d <= mu(n) lies in the ideal exactly when every
+    degree-mu(n) monomial multiple x^m f pairs to zero against the
+    Vandermonde expansion V.  This tests it by apolarity, as f(d/dx)V = 0:
+    every monomial of V has the exponents {0, ..., n-1}, so the coefficient
+    of x^m in f(d/dx)V is (prod_{j<n} j!) / m! * <x^m f, V>, and f(d/dx)V
+    vanishes exactly when all those pairings do.
+
+    Only degrees up to mu(n) are supported.  A nonzero f needs
+    1 <= n <= MAX_PAIR_N, the range of ``vandermonde``.
     """
     if f.nvars > n:
         raise ValueError("polynomial has more variables than the ideal")
@@ -420,14 +411,7 @@ def in_coinvariant_ideal(f: Poly, n: int) -> bool:
     d = f.total_degree()
     if d > mu(n):
         raise ValueError(f"degree {d} exceeds mu({n}) = {mu(n)}; unsupported")
-    items = list(f.terms.items())
-    for m in compositions(mu(n) - d, n):
-        s = 0
-        for e, c in items:
-            s += c * staircase_coefficient(tuple(a + b for a, b in zip(e, m)))
-        if s:
-            return False
-    return True
+    return diff_apply(f, vandermonde(n)).is_zero()
 
 
 def derivative_chain_matches(sigma: Sequence[int], r: Sequence[int],

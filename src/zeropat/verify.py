@@ -49,14 +49,24 @@ from .polynomials import (
     in_coinvariant_ideal,
     inner,
     pair_with_vandermonde,
+    require_pair_budget,
     vandermonde,
 )
 from .stabdim import stabilizer_dim
 
-#: derivative-chain applies difference operators to the n!-term Vandermonde
-#: expansion for n up to max_n: its 100 default samples take about 4 s at
-#: max_n = 7 and about 4 minutes at 8 (one core of a 2-core x86 host)
+#: derivative-chain and ideal-congruence apply difference operators to the
+#: n!-term Vandermonde expansion for n up to max_n: derivative-chain's 100
+#: default samples take about 4 s at max_n = 7 and about 4 minutes at 8, and
+#: ideal-congruence about 8 s at 7 and 160 s at 8 (one core of a 2-core x86
+#: host)
 MAX_CHAIN_N = 7
+
+
+def _require_chain_budget(suite: str, max_n: int) -> None:
+    if max_n > MAX_CHAIN_N:
+        raise ValueError(
+            f"{suite} is budgeted for max_n <= {MAX_CHAIN_N}, got {max_n}"
+        )
 
 
 def double_factorial(n: int) -> int:
@@ -120,7 +130,10 @@ def staircase_expected(sigma, ivec, n: int) -> int:
 
 def _closed_forms(cases) -> dict:
     """One row per (labels, pattern, expected) case, the labels holding the
-    grid size n: the pattern's pairing beside its closed form."""
+    grid size n: the pattern's pairing beside its closed form.  Every size is
+    checked against the pairing budget before the first pairing."""
+    cases = list(cases)
+    require_pair_budget(max((at["n"] for at, _, _ in cases), default=1))
     rows = [
         {**at, "pairing": pair_with_vandermonde(I, at["n"]), "expected": expect}
         for at, I, expect in cases
@@ -216,6 +229,7 @@ def suite_block_product(samples: int = 100, seed: int = 0) -> dict:
 
 
 def suite_ideal_congruence(max_n: int = 5) -> dict:
+    _require_chain_budget("ideal-congruence", max_n)
     checked = 0
     ok = True
     for n in range(1, max_n + 1):
@@ -233,10 +247,7 @@ def suite_ideal_congruence(max_n: int = 5) -> dict:
 def suite_derivative_chain(
     samples: int = 100, seed: int = 0, max_n: int = 4
 ) -> dict:
-    if max_n > MAX_CHAIN_N:
-        raise ValueError(
-            f"derivative-chain is budgeted for max_n <= {MAX_CHAIN_N}, got {max_n}"
-        )
+    _require_chain_budget("derivative-chain", max_n)
     rng = random.Random(seed)
     ok = True
     checked = 0

@@ -6,14 +6,17 @@ need lives here: slow independent implementations that a test compares a
 package path against, and small generators of test inputs.
 
 * ``pair_with_vandermonde_naive`` checks ``polynomials.pair_with_vandermonde``;
+* ``in_coinvariant_ideal_by_pairing`` checks ``polynomials.in_coinvariant_ideal``;
 * ``weak_classes_by_flip_bfs`` checks ``classify.weak_canonical_form``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from zeropat.classify import enumerate_strict
-from zeropat.patterns import Pattern, mu
-from zeropat.polynomials import chi, inner, vandermonde
+from zeropat.patterns import Pattern, mu, perm_sign
+from zeropat.polynomials import Poly, chi, inner, vandermonde
 
 
 def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
@@ -34,6 +37,33 @@ def pair_with_vandermonde_naive(I: Pattern, n: int) -> int:
     if len(I) != mu(n):
         return 0
     return inner(chi(I, n), vandermonde(n))
+
+
+def in_coinvariant_ideal_by_pairing(f: Poly, n: int) -> bool:
+    """Membership of a homogeneous f of degree at most mu(n) in the ideal of
+    the nonconstant elementary symmetric polynomials, by the pairing
+    criterion: every degree-mu(n) monomial multiple x^m f pairs to zero
+    against the Vandermonde expansion, whose coefficient at a permutation of
+    the exponents {0, ..., n-1} is that permutation's sign."""
+    f = f.extend(n)
+    if f.is_zero():
+        return True
+    for combo in itertools.combinations_with_replacement(
+        range(n), mu(n) - f.total_degree()
+    ):
+        m = [0] * n
+        for t in combo:
+            m[t] += 1
+        s = 0
+        for e, c in f.terms.items():
+            exps = [a + b for a, b in zip(e, m)]
+            if sorted(exps) == list(range(n)):
+                # x_t carries exponent n - sigma^-1(t) in sigma's term;
+                # inverses share signs
+                s += c * perm_sign([n - x for x in exps])
+        if s:
+            return False
+    return True
 
 
 def weak_classes_by_flip_bfs(n: int) -> dict[int, int]:

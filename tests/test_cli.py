@@ -180,6 +180,10 @@ def test_verify_unknown_suite_rejected(capsys):
     (["verify", "jfamily", "--seed", "-1"], "--seed must be at least 0, got -1"),
     (["verify", "derivative-chain", "--max-n", "40"],
      "derivative-chain is budgeted for max_n <= 7, got 40"),
+    (["verify", "ideal-congruence", "--max-n", "8"],
+     "ideal-congruence is budgeted for max_n <= 7, got 8"),
+    (["pair", "--n", "3", "--pattern", "[[1,2],[2,3],[1,2]]"],
+     "repeated position [1, 2] in pattern"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
@@ -191,7 +195,8 @@ def test_verify_unknown_suite_rejected(capsys):
         "block-product-no-samples", "lambda-family-below-3", "all-below-3",
         "pair-empty-grid", "pair-negative-grid", "stabdim-negative-grid",
         "flags3-negative-seed", "certificates-negative-seed",
-        "jfamily-negative-seed", "derivative-chain-over-budget"])
+        "jfamily-negative-seed", "derivative-chain-over-budget",
+        "ideal-congruence-over-budget", "pattern-repeated-position"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -307,3 +307,10 @@ def test_family_parsing():
 def test_json_roundtrip():
     I = cyclic3()
     assert Pattern.from_json(I.to_json()) == I
+
+
+def test_from_json_rejects_a_repeated_position():
+    with pytest.raises(ValueError, match=r"repeated position \[1, 2\] in pattern"):
+        Pattern.from_json([[1, 2], [2, 3], [1, 2]])
+    # the constructor keeps its set semantics
+    assert Pattern([(1, 2), (2, 3), (1, 2)]) == Pattern([(1, 2), (2, 3)])

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import zeropat.verify
 from zeropat.patterns import (
     Pattern,
     j_family,
@@ -20,7 +21,6 @@ from zeropat.polynomials import (
     Poly,
     chi,
     complete,
-    compositions,
     derivative_chain_matches,
     diff_apply,
     elementary,
@@ -30,12 +30,22 @@ from zeropat.polynomials import (
     pair_with_vandermonde,
     permutation_table,
     shift,
-    staircase_coefficient,
     vandermonde,
 )
-from zeropat.verify import double_factorial, lambda_expected, random_strict
+from zeropat.verify import (
+    MAX_CHAIN_N,
+    double_factorial,
+    lambda_expected,
+    random_homogeneous,
+    random_strict,
+    run_suite,
+)
 
-from oracles import pair_with_vandermonde_naive, random_permutation
+from oracles import (
+    in_coinvariant_ideal_by_pairing,
+    pair_with_vandermonde_naive,
+    random_permutation,
+)
 
 
 def test_poly_ring_basics():
@@ -110,17 +120,6 @@ def test_inner_bilinear_symmetric_invariant():
         assert inner(permute_vars(f, p), permute_vars(g, p)) == inner(f, g)
 
 
-def test_staircase_coefficient():
-    assert staircase_coefficient((1, 0)) == 1
-    assert staircase_coefficient((0, 1)) == -1
-    assert staircase_coefficient((2, 1, 0)) == 1
-    assert staircase_coefficient((1, 1, 1)) == 0
-    assert staircase_coefficient((3, 1, 0)) == 0
-    V = vandermonde(4)
-    for e, c in V.terms.items():
-        assert staircase_coefficient(e) == c
-
-
 def test_pairing_matches_naive_exhaustive_small():
     for n in (2, 3, 4):
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
@@ -158,6 +157,25 @@ def test_pairing_top_of_range():
     assert pair_with_vandermonde(pi_family(9), 9) == double_factorial(9)
     with pytest.raises(ValueError, match="n <= 10"):
         pair_with_vandermonde(lam(11), 11)
+
+
+def refuse(*args):
+    raise AssertionError("computed before the budget check")
+
+
+@pytest.mark.parametrize("suite", ["lambda-family", "pi-family", "hessenberg"])
+def test_pairing_suites_check_the_budget_before_any_pairing(suite, monkeypatch):
+    monkeypatch.setattr(zeropat.verify, "pair_with_vandermonde", refuse)
+    message = f"pairings are evaluated for n <= {MAX_PAIR_N}, got {MAX_PAIR_N + 1}"
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite, max_n=MAX_PAIR_N + 1)
+
+
+def test_ideal_congruence_checks_its_budget_first(monkeypatch):
+    monkeypatch.setattr(zeropat.verify, "in_coinvariant_ideal", refuse)
+    message = f"ideal-congruence is budgeted for max_n <= {MAX_CHAIN_N}, got 8"
+    with pytest.raises(ValueError, match=message):
+        run_suite("ideal-congruence", max_n=8)
 
 
 def test_pairing_degree_mismatch_is_zero():
@@ -238,11 +256,6 @@ def test_symmetric_functions():
         assert total.is_zero()
 
 
-def test_compositions():
-    assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert len(list(compositions(4, 3))) == 15
-
-
 def test_diff_apply():
     x1 = Poly.variable(1, 1)
     assert diff_apply(x1, x1 * x1) == 2 * x1
@@ -250,7 +263,7 @@ def test_diff_apply():
     n, k = 3, 3
     for i in (1, 2, 3):
         lhs = diff_apply(Poly.variable(n, i), complete(k, n))
-        rhs = Poly(n, {e: 1 + e[i - 1] for e in compositions(k - 1, n)})
+        rhs = Poly(n, {e: 1 + e[i - 1] for e in complete(k - 1, n).terms})
         assert lhs == rhs
 
 
@@ -279,6 +292,25 @@ def test_ideal_membership():
         in_coinvariant_ideal(Poly.variable(2, 1) + Poly.const(2, 1), 2)
     with pytest.raises(ValueError):
         in_coinvariant_ideal(vandermonde(2) ** 3, 2)
+
+
+def test_ideal_membership_matches_the_pairing_criterion():
+    rng = random.Random(3)
+    verdicts = []
+    for draw in range(300):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, min(n, mu(n)))
+        d = rng.randint(k, mu(n))
+        if draw % 2:
+            h = random_homogeneous(rng, n, d - k, terms=3, bound=3)
+            f = elementary(k, n) * h
+        else:
+            f = random_homogeneous(rng, n, d, terms=4, bound=3)
+        member = in_coinvariant_ideal_by_pairing(f, n)
+        assert in_coinvariant_ideal(f, n) == member, (n, f)
+        verdicts.append(member)
+    assert verdicts.count(True) >= 50
+    assert verdicts.count(False) >= 50
 
 
 def test_derivative_chain():
