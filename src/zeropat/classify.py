@@ -100,13 +100,19 @@ def offdiag_cells(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
+def _require_enum_budget(n: int, what: str, hint: str = "") -> None:
+    """The sizes a full walk of the strict patterns is budgeted for, checked
+    before any work."""
+    if not 2 <= n <= MAX_ENUM_N:
+        raise ValueError(
+            f"{what} is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}{hint}"
+        )
+
+
 def enumerate_strict(n: int):
     """Every strict pattern of size mu(n) in the n x n grid, once each, in
     increasing mask order: a view over ``_strict_masks``."""
-    if not 2 <= n <= MAX_ENUM_N:
-        raise ValueError(
-            f"full enumeration is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}"
-        )
+    _require_enum_budget(n, "full enumeration")
     return (Pattern.from_mask(int(m), n) for m in _strict_masks(n))
 
 
@@ -253,10 +259,7 @@ def weak_canonical_form(I: Pattern, n: int) -> tuple[int, ...]:
 def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[ClassRecord]]:
     """Full census for one size: every orbit with pairing, stabilizer
     dimension and status, plus aggregate counts."""
-    if not 2 <= n <= MAX_ENUM_N:
-        raise ValueError(
-            f"full classification is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}"
-        )
+    _require_enum_budget(n, "full classification")
     log = (lambda msg: print(msg, file=sys.stderr)) if progress else (lambda msg: None)
     total = strict_count(n)
     log(f"walking the orbits of {total} strict patterns for n={n}: "
@@ -354,13 +357,9 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
     """
     if sample is not None:
         classes = _sampled_classes(n, sample, seed)
-    elif 2 <= n <= MAX_ENUM_N:
-        classes = list(_class_walk(n))
     else:
-        raise ValueError(
-            f"an exhaustive scan is budgeted for 2 <= n <= {MAX_ENUM_N}, got {n}; "
-            "pass a sample"
-        )
+        _require_enum_budget(n, "an exhaustive scan", "; pass a sample")
+        classes = list(_class_walk(n))
     nfact = math.factorial(n)
     groups = []
     for mask, weight in classes:

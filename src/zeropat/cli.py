@@ -21,12 +21,14 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from dataclasses import fields
 
 import numpy as np
 
 from .classify import ClassRecord, classify_all, load_expected
+from .orbit3 import count_flags, invariants, poly_P2_ratio, random_traceless
 from .patterns import Pattern, parse_family
 from .polynomials import pair_with_vandermonde
 from .stabdim import stabilizer_dim
@@ -35,25 +37,32 @@ from .verify import SUITES, run_suite
 SCHEMA_VERSION = 1
 
 
-def _emit(obj, args) -> None:
-    if getattr(args, "format", "json") == "text":
-        text = _as_text(obj)
-    elif getattr(args, "format", "json") == "csv":
-        text = _as_csv(obj)
-    else:
+def _emit(obj: dict, args, text: str | None = None) -> None:
+    """Write a command's result to ``--out``, or else to stdout.  In text
+    format ``text`` is the command's short form; without one, each key of
+    ``obj`` gets a line."""
+    if args.format == "json":
         text = json.dumps(obj, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    elif args.format == "csv":
+        text = _as_csv(obj)
+    elif text is None:
+        text = "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in obj.items())
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _as_text(obj) -> str:
-    if isinstance(obj, dict):
-        return "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in obj.items())
-    return str(obj)
+def _require_writable(path: str) -> None:
+    """An ``--out`` that cannot be written, found before the command runs."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"--out {path} is not writable")
 
 
 def _as_csv(obj) -> str:
@@ -92,19 +101,17 @@ def _resolve_pattern(args) -> tuple[Pattern, int]:
 def cmd_pair(args) -> int:
     I, n = _resolve_pattern(args)
     value = pair_with_vandermonde(I, n)
-    if args.format == "text":
-        print(value)
-    else:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": n,
-                "pattern": I.to_json(),
-                "pairing": value,
-                "nonsingular": value != 0,
-            },
-            args,
-        )
+    _emit(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "n": n,
+            "pattern": I.to_json(),
+            "pairing": value,
+            "nonsingular": value != 0,
+        },
+        args,
+        text=str(value),
+    )
     return 0
 
 
@@ -112,40 +119,34 @@ def cmd_classify(args) -> int:
     if args.weak and args.format != "text":
         raise ValueError("--weak needs --format text")
     census, records = classify_all(args.n, progress=args.n >= 5)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "census": census.to_json(),
-        "classes": [r.to_json() for r in records],
+    got = census.to_json()
+    expected = load_expected()["census"].get(str(args.n)) or {}
+    mismatches = {
+        key: {"expected": val, "computed": got.get(key)}
+        for key, val in expected.items()
+        if got.get(key) != val
     }
-    expected = load_expected()["census"].get(str(args.n))
-    mismatches = {}
-    if expected:
-        got = census.to_json()
-        for key, val in expected.items():
-            if got.get(key) != val:
-                mismatches[key] = {"expected": val, "computed": got.get(key)}
-    payload["expected_mismatches"] = mismatches
-    if args.weak:
-        print(census.num_weak_classes)
-        return 0 if not mismatches else 1
-    _emit(payload, args)
+    _emit(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "census": got,
+            "classes": [r.to_json() for r in records],
+            "expected_mismatches": mismatches,
+        },
+        args,
+        text=str(census.num_weak_classes) if args.weak else None,
+    )
     if mismatches:
-        print(
-            "expected-count mismatch; full census emitted for audit: "
-            + json.dumps(mismatches, sort_keys=True),
-            file=sys.stderr,
-        )
+        audit = "" if args.weak else "; full census emitted for audit"
+        note = json.dumps(mismatches, sort_keys=True)
+        print(f"expected-count mismatch{audit}: {note}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    opts = {
-        "max_n": args.max_n,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    opts = {"max_n": args.max_n, "samples": args.samples, "seed": args.seed}
     given = {k: v for k, v in opts.items() if v is not None}
     takes = {name: inspect.signature(SUITES[name]).parameters for name in names}
     if args.suite != "all":
@@ -158,12 +159,11 @@ def cmd_verify(args) -> int:
     _require_at_least("--samples", args.samples, 1)
     _require_at_least("--seed", args.seed, 0)
     reports = []
-    ok = True
     for name in names:
         rep = run_suite(name, **{k: v for k, v in given.items() if k in takes[name]})
         reports.append(rep)
-        ok = ok and bool(rep["passed"])
         print(f"{name}: {'pass' if rep['passed'] else 'FAIL'}", file=sys.stderr)
+    ok = all(rep["passed"] for rep in reports)
     _emit(
         {"schema_version": SCHEMA_VERSION, "reports": reports, "passed": ok}, args
     )
@@ -171,8 +171,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flags3(args) -> int:
-    from .orbit3 import count_flags, poly_P2_ratio, random_traceless
-
     _require_at_least("--samples", args.samples, 1)
     _require_at_least("--restarts", args.restarts, 1)
     _require_at_least("--seed", args.seed, 0)
@@ -228,27 +226,22 @@ def cmd_stabdim(args) -> int:
     # ``is_defective``, without computing the dimension a second time
     bound = n * n - 2 * len(I)
     defective = dim > bound
-    if args.format == "text":
-        print(f"stabilizer dimension: {dim}")
-        print(f"defective: {'yes' if defective else 'no'}")
-    else:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": n,
-                "pattern": I.to_json(),
-                "stab_dim": dim,
-                "defective": defective,
-                "bound": bound,
-            },
-            args,
-        )
+    _emit(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "n": n,
+            "pattern": I.to_json(),
+            "stab_dim": dim,
+            "defective": defective,
+            "bound": bound,
+        },
+        args,
+        text=f"stabilizer dimension: {dim}\ndefective: {'yes' if defective else 'no'}",
+    )
     return 0
 
 
 def cmd_invariants(args) -> int:
-    from .orbit3 import invariants
-
     if args.matrix == "zero":
         X = np.zeros((3, 3), dtype=complex)
     else:
@@ -289,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="full census for one size")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--weak", action="store_true", help="text mode: print only the weak class count")
+    sp.add_argument("--weak", action="store_true", help="text format: only the weak class count")
     common(sp, formats=("json", "csv", "text"))
     sp.set_defaults(fn=cmd_classify)
 
@@ -327,6 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _require_writable(args.out)
         return args.fn(args)
     except ValueError as exc:
         parser.error(str(exc))

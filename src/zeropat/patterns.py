@@ -322,6 +322,8 @@ def j_family(sigma: Sequence[int], ivec: Sequence[int]) -> Pattern:
     strict of size mu(n).
     """
     sigma = tuple(sigma)
+    if not sigma:
+        raise ValueError("sigma must not be empty")
     if not is_permutation(sigma):
         raise ValueError(f"sigma is not a permutation: {sigma!r}")
     n = len(sigma)
@@ -401,14 +403,24 @@ def parse_family(text: str) -> tuple[Pattern, int]:
         parts = [p for p in rest.split(",") if p.strip()]
         if len(parts) != 2:
             raise ValueError("jkn spec is 'jkn:k,n'")
-        n = int(parts[1])
-        return j_hessenberg(int(parts[0]), n), n
+        k, n = (_spec_int(text, p) for p in parts)
+        return j_hessenberg(k, n), n
     if name not in _SIMPLE_FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     if not rest:
         raise ValueError(f"family spec {text!r} is missing ':n'")
-    n = int(rest)
+    n = _spec_int(text, rest)
     return _SIMPLE_FAMILIES[name](n), n
+
+
+def _spec_int(text: str, part: str) -> int:
+    """A size in a family spec, as an int; the error names the spec."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(
+            f"family spec {text!r}: {part.strip()!r} is not an integer"
+        ) from None
 
 
 def _parse_kv_ints(text: str) -> dict[str, list[int]]:

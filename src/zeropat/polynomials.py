@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -349,21 +350,11 @@ def diff_apply(f: Poly, g: Poly) -> Poly:
     out: dict[tuple[int, ...], int] = {}
     for ef, cf in f.terms.items():
         for eg, cg in g.terms.items():
-            coeff = cf * cg
-            key = []
-            ok = True
-            for a, b in zip(ef, eg):
-                if b < a:
-                    ok = False
-                    break
-                # falling factorial b * (b-1) * ... * (b-a+1)
-                for x in range(b - a + 1, b + 1):
-                    coeff *= x
-                key.append(b - a)
-            if not ok:
-                continue
-            key = tuple(key)
-            out[key] = out.get(key, 0) + coeff
+            if all(map(operator.ge, eg, ef)):
+                key = tuple(map(operator.sub, eg, ef))
+                # math.perm(b, a) is the falling factorial b!/(b-a)!
+                coeff = cf * cg * math.prod(map(math.perm, eg, ef))
+                out[key] = out.get(key, 0) + coeff
     return Poly(g.nvars, out)
 
 

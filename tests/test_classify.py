@@ -199,6 +199,23 @@ def test_enumeration_counts():
         next(enumerate_strict(6))
 
 
+@pytest.mark.parametrize("entry, message", [
+    (enumerate_strict, "full enumeration is budgeted for 2 <= n <= 5, got {n}"),
+    (classify_all, "full classification is budgeted for 2 <= n <= 5, got {n}"),
+    (scan_extremal,
+     "an exhaustive scan is budgeted for 2 <= n <= 5, got {n}; pass a sample"),
+], ids=["enumerate_strict", "classify_all", "scan_extremal"])
+@pytest.mark.parametrize("n", [1, 6])
+def test_enumeration_budget_is_checked_before_any_work(monkeypatch, entry, message, n):
+    def no_work(n):
+        raise AssertionError("the strict masks were built")
+
+    monkeypatch.setattr(classify, "_strict_masks", no_work)
+    with pytest.raises(ValueError) as exc:
+        entry(n)
+    assert str(exc.value) == message.format(n=n)
+
+
 def test_strict_masks_match_the_combinations():
     for n in (2, 3, 4, 5):
         masks = classify._strict_masks(n)

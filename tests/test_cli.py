@@ -184,6 +184,10 @@ def test_verify_unknown_suite_rejected(capsys):
      "ideal-congruence is budgeted for max_n <= 7, got 8"),
     (["pair", "--n", "3", "--pattern", "[[1,2],[2,3],[1,2]]"],
      "repeated position [1, 2] in pattern"),
+    (["pair", "--family", "lambda:5:3"],
+     "family spec 'lambda:5:3': '5:3' is not an integer"),
+    (["pair", "--family", "jkn:a,5"], "family spec 'jkn:a,5': 'a' is not an integer"),
+    (["pair", "--family", "jfam:sigma=[],i=[]"], "sigma must not be empty"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
@@ -196,7 +200,8 @@ def test_verify_unknown_suite_rejected(capsys):
         "pair-empty-grid", "pair-negative-grid", "stabdim-negative-grid",
         "flags3-negative-seed", "certificates-negative-seed",
         "jfamily-negative-seed", "derivative-chain-over-budget",
-        "ideal-congruence-over-budget", "pattern-repeated-position"])
+        "ideal-congruence-over-budget", "pattern-repeated-position",
+        "family-size-not-an-int", "jkn-size-not-an-int", "jfam-empty-sigma"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -226,6 +231,71 @@ def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, content, messa
     err = capsys.readouterr().err
     assert "zeropat: error: " + message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--family", "lambda:4", "--format", "text"],
+    ["pair", "--family", "lambda:4"],
+    ["stabdim", "--family", "ne:4"],
+    ["stabdim", "--family", "ne:4", "--format", "json"],
+    ["classify", "--n", "3"],
+    ["classify", "--n", "3", "--format", "csv"],
+    ["classify", "--n", "3", "--weak", "--format", "text"],
+    ["invariants", "--matrix", "zero"],
+    ["verify", "pi-family", "--max-n", "5"],
+    ["flags3", "--samples", "1", "--restarts", "50"],
+], ids=["pair-text", "pair-json", "stabdim-text", "stabdim-json", "classify-json",
+        "classify-csv", "classify-weak", "invariants", "verify", "flags3"])
+def test_out_holds_what_stdout_would(tmp_path, capsys, argv):
+    _, expected = run_cli(capsys, *argv)
+    target = tmp_path / "out"
+    code, out = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == expected
+
+
+def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("classify_all ran")
+
+    monkeypatch.setattr("zeropat.cli.classify_all", no_work)
+    for target, message in [
+        (tmp_path / "missing" / "census.json",
+         f"--out {tmp_path / 'missing' / 'census.json'}: no directory "
+         f"{tmp_path / 'missing'}"),
+        (tmp_path, f"--out {tmp_path} is a directory"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "3", "--out", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "zeropat: error: " + message in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_failed_command_keeps_an_existing_out_file(tmp_path, capsys):
+    target = tmp_path / "kept.json"
+    target.write_text("earlier result\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--family", "nope:3", "--out", str(target)])
+    assert exc.value.code == 2
+    assert target.read_text() == "earlier result\n"
+
+
+def test_weak_count_mismatch_is_reported(capsys, monkeypatch):
+    _, count = run_cli(capsys, "classify", "--n", "3", "--weak", "--format", "text")
+    wrong = {"num_weak_classes": int(count) + 1}
+    monkeypatch.setattr("zeropat.cli.load_expected", lambda: {"census": {"3": wrong}})
+    code = main(["classify", "--n", "3", "--weak", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == count
+    assert captured.err == (
+        "expected-count mismatch: "
+        + json.dumps({"num_weak_classes": {
+            "computed": int(count), "expected": int(count) + 1}}, sort_keys=True)
+        + "\n"
+    )
 
 
 def test_flags3_small(capsys):
