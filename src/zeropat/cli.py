@@ -201,6 +201,8 @@ def cmd_flags3(args) -> int:
                 "gn_iterations": res.gn_iterations,
             }
         )
+        # an incomplete sample is never generic, so it is judged here
+        all_ok = all_ok and not res.incomplete
         if res.generic:
             all_ok = all_ok and res.num_flags % 6 == 0 and res.z_orbit_closed
         print(

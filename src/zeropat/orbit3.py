@@ -66,6 +66,15 @@ def _square(A, n: int = 3) -> np.ndarray:
     return A
 
 
+def _traceless(A) -> np.ndarray:
+    """A as a complex array; ValueError unless it is a finite 3 x 3 matrix
+    whose trace is zero up to 1e-9 max(||A||, 1)."""
+    A = _square(A)
+    if abs(np.trace(A)) > 1e-9 * max(float(np.linalg.norm(A)), 1.0):
+        raise ValueError("matrix is not traceless")
+    return A
+
+
 # -- scalar invariants -----------------------------------------------------------
 
 
@@ -73,9 +82,10 @@ def invariants(X) -> np.ndarray:
     """Sixteen generating scalar invariants of a traceless 3 x 3 matrix under
     conjugation by special unitaries combined with unit scalar rescaling.
 
-    The adjoint enters through Y = X*; all sixteen values are real.
+    The adjoint enters through Y = X*; all sixteen values are real.  A matrix
+    that is not traceless is rejected.
     """
-    X = _square(X)
+    X = _traceless(X)
     Y = X.conj().T
     X2 = X @ X
     Y2 = Y @ Y
@@ -277,7 +287,7 @@ def poly_P(X) -> float:
 def _cyclic_entries(A):
     """Split a pattern-subspace matrix into its five free entries u, v, w, x,
     y, z; reject matrices outside the subspace."""
-    A = _square(A)
+    A = _traceless(A)
     tol = 1e-9 * max(float(np.linalg.norm(A)), 1.0)
     for (i, j) in CYCLIC_PATTERN:
         if abs(A[i - 1, j - 1]) > tol:
@@ -285,8 +295,6 @@ def _cyclic_entries(A):
                 f"entry {(i, j)} = {A[i - 1, j - 1]} is not zero: "
                 "matrix lies outside the cyclic pattern subspace"
             )
-    if abs(np.trace(A)) > tol:
-        raise ValueError("matrix is not traceless")
     u, z = A[0, 0], A[0, 1]
     v, x = A[1, 1], A[1, 2]
     y, w = A[2, 0], A[2, 2]

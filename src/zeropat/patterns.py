@@ -395,7 +395,7 @@ def parse_family(text: str) -> tuple[Pattern, int]:
             raise ValueError(f"the cyclic pattern is 3 x 3, got {text!r}")
         return cyclic3(), 3
     if name == "jfam":
-        params = _parse_kv_ints(rest)
+        params = _parse_kv_ints(text, rest)
         if sorted(params) != ["i", "sigma"]:
             raise ValueError("jfam spec is 'jfam:sigma=[...],i=[...]'")
         return j_family(params["sigma"], params["i"]), len(params["sigma"])
@@ -423,15 +423,16 @@ def _spec_int(text: str, part: str) -> int:
         ) from None
 
 
-def _parse_kv_ints(text: str) -> dict[str, list[int]]:
-    """``key=[a,b,...]`` items joined by commas, as lists of ints by key."""
+def _parse_kv_ints(text: str, rest: str) -> dict[str, list[int]]:
+    """The ``key=[a,b,...]`` items, joined by commas, that follow the name in
+    the family spec ``text``, as lists of ints by key."""
     out: dict[str, list[int]] = {}
-    for item in re.split(r"(?<=\])\s*,", text):
+    for item in re.split(r"(?<=\])\s*,", rest):
         m = re.fullmatch(r"\s*(\w+)\s*=\s*\[([^\[\]]*)\]\s*", item)
         if m is None:
             raise ValueError(f"expected key=[...], got {item!r}")
         key, val = m.groups()
         if key in out:
             raise ValueError(f"key {key!r} is given twice")
-        out[key] = [int(v) for v in val.split(",") if v.strip()]
+        out[key] = [_spec_int(text, v) for v in val.split(",") if v.strip()]
     return out

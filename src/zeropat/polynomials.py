@@ -241,17 +241,40 @@ def vandermonde(n: int) -> Poly:
     return Poly(n, {tuple(map(int, e)): int(s) for e, s in zip(exps, signs)})
 
 
+def _chi_terms(I: Pattern, n: int) -> dict[int, int]:
+    """The expansion of chi(I) as {packed exponents: coefficient}.
+
+    The exponent of x_k fills bits w(k - 1) to wk - 1 of the key, with
+    w = |I|.bit_length(): no exponent exceeds |I| < 2^w, so the fields never
+    carry into each other.  Zero coefficients are dropped after each factor.
+    """
+    _check_strict(I, n)
+    w = len(I).bit_length()
+    cur: dict[int, int] = {0: 1}
+    for i, j in I:
+        bi, bj = 1 << w * (i - 1), 1 << w * (j - 1)
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, c in cur.items():
+            nxt[key + bi] = get(key + bi, 0) + c
+            nxt[key + bj] = get(key + bj, 0) - c
+        cur = {k: v for k, v in nxt.items() if v}
+    return cur
+
+
 def chi(I: Pattern, n: int) -> Poly:
     """Product of the differences x_i - x_j over the positions of I.
 
     Diagonal positions are rejected; the zero polynomial is never returned
     silently.
     """
-    _check_strict(I, n)
-    out = Poly.const(n, 1)
-    for i, j in I:
-        out = out * (Poly.variable(n, i) - Poly.variable(n, j))
-    return out
+    terms = _chi_terms(I, n)
+    w = len(I).bit_length()
+    mask = (1 << w) - 1
+    shifts = [w * k for k in range(n)]
+    return Poly(n, {
+        tuple(key >> s & mask for s in shifts): c for key, c in terms.items()
+    })
 
 
 def inner(f: Poly, g: Poly) -> int:
@@ -298,21 +321,8 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
 
 
 def norm_squared(I: Pattern, n: int) -> int:
-    """Exact inner product of chi(I) with itself: sum of squared coefficients.
-    The expansion packs exponents 6 bits per variable, so |I| <= 63."""
-    _check_strict(I, n)
-    if len(I) > 63:
-        raise ValueError("too many positions for packed exponents")
-    cur: dict[int, int] = {0: 1}
-    for i, j in I:
-        bi, bj = 1 << 6 * (i - 1), 1 << 6 * (j - 1)
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, c in cur.items():
-            nxt[key + bi] = get(key + bi, 0) + c
-            nxt[key + bj] = get(key + bj, 0) - c
-        cur = {k: v for k, v in nxt.items() if v}
-    return sum(c * c for c in cur.values())
+    """Exact inner product of chi(I) with itself: sum of squared coefficients."""
+    return sum(c * c for c in _chi_terms(I, n).values())
 
 
 def _symmetric(k: int, n: int, choose) -> Poly:

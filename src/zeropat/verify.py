@@ -42,6 +42,7 @@ from .patterns import (
 )
 from .polynomials import (
     Poly,
+    chi,
     complete,
     derivative_chain_matches,
     diff_apply,
@@ -235,9 +236,7 @@ def suite_ideal_congruence(max_n: int = 5) -> dict:
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             for r in range(1, m + 1):
-                lhs = Poly.const(n, 1)
-                for i in range(m + 1, n + 1):
-                    lhs = lhs * (Poly.variable(n, r) - Poly.variable(n, i))
+                lhs = chi(Pattern((r, i) for i in range(m + 1, n + 1)), n)
                 dr = diff_apply(Poly.variable(m, r), complete(n - m + 1, m))
                 ok = ok and in_coinvariant_ideal(lhs - dr.extend(n), n)
                 checked += 1

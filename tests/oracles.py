@@ -5,6 +5,7 @@
 need lives here: slow independent implementations that a test compares a
 package path against, and small generators of test inputs.
 
+* ``chi_by_products`` checks ``polynomials.chi`` and ``polynomials.norm_squared``;
 * ``pair_with_vandermonde_naive`` checks ``polynomials.pair_with_vandermonde``;
 * ``in_coinvariant_ideal_by_pairing`` checks ``polynomials.in_coinvariant_ideal``;
 * ``weak_classes_by_flip_bfs`` checks ``classify.weak_canonical_form``.
@@ -29,6 +30,14 @@ def random_permutation(rng, n: int) -> tuple[int, ...]:
     p = list(range(1, n + 1))
     rng.shuffle(p)
     return tuple(p)
+
+
+def chi_by_products(I: Pattern, n: int) -> Poly:
+    """chi(I) multiplied out one linear factor x_i - x_j at a time."""
+    out = Poly.const(n, 1)
+    for i, j in I:
+        out = out * (Poly.variable(n, i) - Poly.variable(n, j))
+    return out
 
 
 def pair_with_vandermonde_naive(I: Pattern, n: int) -> int:

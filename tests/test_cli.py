@@ -188,6 +188,8 @@ def test_verify_unknown_suite_rejected(capsys):
      "family spec 'lambda:5:3': '5:3' is not an integer"),
     (["pair", "--family", "jkn:a,5"], "family spec 'jkn:a,5': 'a' is not an integer"),
     (["pair", "--family", "jfam:sigma=[],i=[]"], "sigma must not be empty"),
+    (["pair", "--family", "jfam:sigma=[1,a],i=[1]"],
+     "family spec 'jfam:sigma=[1,a],i=[1]': 'a' is not an integer"),
 ], ids=["unknown-family", "removed-sample5", "option-the-suite-ignores",
         "pattern-without-n", "no-pattern", "weak-without-text",
         "cyclic-of-another-size", "unknown-jfam-key",
@@ -201,7 +203,8 @@ def test_verify_unknown_suite_rejected(capsys):
         "flags3-negative-seed", "certificates-negative-seed",
         "jfamily-negative-seed", "derivative-chain-over-budget",
         "ideal-congruence-over-budget", "pattern-repeated-position",
-        "family-size-not-an-int", "jkn-size-not-an-int", "jfam-empty-sigma"])
+        "family-size-not-an-int", "jkn-size-not-an-int", "jfam-empty-sigma",
+        "jfam-entry-not-an-int"])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -219,8 +222,10 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     ("null", "--matrix rows must be lists of [re, im] pairs"),
     ("[[[1, 0], [0, 0]], [[0, 0]]]", "--matrix rows must be lists of [re, im] pairs"),
     ("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "expected a 3 x 3 matrix"),
+    ("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]",
+     "matrix is not traceless"),
 ], ids=["missing-file", "numbers-not-pairs", "triples", "string-entry", "null",
-        "ragged", "2-by-2"])
+        "ragged", "2-by-2", "not-traceless"])
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, content, message):
     path = tmp_path / "m.json"
     if content is not None:
@@ -311,6 +316,17 @@ def test_flags3_small(capsys):
     assert s["incomplete"] is False
     assert 0 <= s["last_new_cluster"] < 300
     assert sum(s["gn_iterations"]) == 300
+
+
+def test_flags3_fails_a_run_that_converges_nothing(capsys, monkeypatch):
+    # no squared residual is at most -1, so no restart converges
+    monkeypatch.setattr("zeropat.orbit3.RESID_TOL", -1.0)
+    code, out = run_cli(
+        capsys, "flags3", "--samples", "1", "--restarts", "20", "--seed", "3"
+    )
+    s = json.loads(out)["samples"][0]
+    assert (s["converged"], s["N"], s["incomplete"]) == (0, 0, True)
+    assert code == 1 and json.loads(out)["passed"] is False
 
 
 def test_flags3_deterministic(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import zeropat.verify
+from zeropat.classify import offdiag_cells
 from zeropat.patterns import (
     Pattern,
     j_family,
@@ -42,6 +43,7 @@ from zeropat.verify import (
 )
 
 from oracles import (
+    chi_by_products,
     in_coinvariant_ideal_by_pairing,
     pair_with_vandermonde_naive,
     random_permutation,
@@ -73,8 +75,27 @@ def test_vandermonde():
     assert vandermonde(4).total_degree() == mu(4)
 
 
+def chi_inputs():
+    """Seeded strict patterns for the packed expansion: random ones of size
+    mu(n) and of other sizes for n = 2..6, the empty pattern, and one row
+    full at n = 2..9, where the exponent of x_1 reaches |I| (1, 2, 4 and 8
+    fill the top bit of their field)."""
+    rng = random.Random(5)
+    cases = [(Pattern(), n) for n in (1, 2, 4)]
+    for n in range(2, 7):
+        cells = offdiag_cells(n)
+        sizes = [k for k in range(1, min(len(cells), mu(n) + 2) + 1) if k != mu(n)]
+        cases += [(random_strict(rng, n), n) for _ in range(8)]
+        cases += [(Pattern(rng.sample(cells, rng.choice(sizes))), n) for _ in range(8)]
+    cases += [(Pattern((1, j) for j in range(2, n + 1)), n) for n in range(2, 10)]
+    return cases
+
+
 def test_chi():
     assert chi(ne(3), 3) == vandermonde(3)
+    assert chi(Pattern(), 3) == Poly.const(3, 1)
+    for I, n in chi_inputs():
+        assert chi(I, n) == chi_by_products(I, n), (I, n)
     two = chi(Pattern([(2, 1)]), 2)
     assert two == Poly.variable(2, 2) - Poly.variable(2, 1)
     I = Pattern([(1, 2), (2, 3)])
@@ -212,10 +233,12 @@ def test_staircase_pairing_example():
 def test_norms():
     assert norm_squared(ne(3), 3) == 6
     assert norm_squared(Pattern([(1, 2)]), 2) == 2
-    rng = random.Random(4)
-    for _ in range(20):
-        I = random_strict(rng, 4)
-        assert norm_squared(I, 4) == inner(chi(I, 4), chi(I, 4))
+    assert norm_squared(Pattern(), 2) == 1
+    for I, n in chi_inputs():
+        f = chi_by_products(I, n)
+        assert norm_squared(I, n) == inner(f, f), (I, n)
+    with pytest.raises(ValueError):
+        norm_squared(Pattern([(2, 2)]), 2)
 
 
 def test_norm_minimum_over_p4():
