@@ -126,6 +126,8 @@ def strict_count(n: int) -> int:
 #: strict masks per visited-scan chunk of the census walk; the n = 5 walk
 #: time is flat for chunks from 256 to 65,536 masks
 _WALK_CHUNK = 4096
+#: class representatives per flip-key product of the census (0.5 MB at n = 5)
+_KEY_CHUNK = 256
 
 
 def _group_table(n: int) -> np.ndarray:
@@ -189,11 +191,12 @@ def _orbit_images(mask: int, n: int) -> np.ndarray:
     return _cell_bits(mask, n) @ P
 
 
-def _weak_code(mask: int, n: int) -> int:
-    """Flip key of the class of one occupancy mask: the minimum weak code
-    (see ``_weak_weights``) over its images.  Needs n <= 8."""
+def _weak_code(masks, n: int) -> np.ndarray:
+    """Flip key of the class of each occupancy mask: the minimum weak code
+    (see ``_weak_weights``) over its images, in an array shaped like
+    ``masks``.  Needs n <= 8."""
     _, W = _image_matrices(n)
-    return int((_cell_bits(mask, n) @ W).min())
+    return (_cell_bits(masks, n) @ W).min(axis=-1)
 
 
 def _strict_masks(n: int) -> np.ndarray:
@@ -252,7 +255,7 @@ def weak_canonical_form(I: Pattern, n: int) -> tuple[int, ...]:
     invariant of flip equivalence combined with relabeling, taken as the
     least vector over the orbit of I (transposition keeps multiplicities).
     Needs n <= 8."""
-    code = _weak_code(I.mask(n), n)
+    code = int(_weak_code(I.mask(n), n))
     return tuple(code // 3**k % 3 for k in reversed(range(mu(n))))
 
 
@@ -262,14 +265,14 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
     _require_enum_budget(n, "full classification")
     log = (lambda msg: print(msg, file=sys.stderr)) if progress else (lambda msg: None)
     total = strict_count(n)
-    log(f"walking the orbits of {total} strict patterns for n={n}: "
-        "canonical form, orbit size and flip key, then pairing and stabilizer rank")
+    log(f"walking the orbits of {total} strict patterns for n={n}, then pairing, "
+        "stabilizer dimension (pinned-entry count) and flip key of each class")
     records = []
     weak_keys = set()
     covered = 0
     tally = {STATUS_NONSINGULAR: 0, STATUS_DEFECTIVE: 0, STATUS_EXCEPTIONAL: 0}
-    for rep_mask, orbit_size in _class_walk(n):
-        weak_keys.add(_weak_code(rep_mask, n))
+    walk = list(_class_walk(n))
+    for rep_mask, orbit_size in walk:
         rep = Pattern.from_mask(rep_mask, n)
         pairing = pair_with_vandermonde(rep, n)
         sd = stabilizer_dim(rep, n)
@@ -299,6 +302,8 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
             log(f"  classified {len(records)} classes, {covered}/{total} patterns")
 
     assert covered == total
+    for k in range(0, len(walk), _KEY_CHUNK):
+        weak_keys.update(_weak_code([m for m, _ in walk[k:k + _KEY_CHUNK]], n).tolist())
     census = ClassCensus(
         n=n,
         total_patterns=total,

@@ -155,15 +155,27 @@ def stabilizer_dim(I: Pattern, n: int) -> int:
     """
     if not I.is_proper(n):
         raise ValueError("stabilizer dimension needs a proper pattern")
-    occupied = np.zeros((n, n), dtype=bool)
-    for i, j in I:
-        occupied[i - 1, j - 1] = True
-    free = ~occupied & ~np.eye(n, dtype=bool)
-    pinned = occupied @ free.T | free.T @ occupied
-    free_diag = ~occupied.diagonal()
-    if free_diag.sum() >= 2:
-        pinned |= occupied & (free_diag[:, None] | free_diag[None, :])
-    return int(np.count_nonzero(~(pinned | pinned.T)))
+    # 0-based: bit q of free_rows[p] (free_cols[p]) is set when cell (p, q)
+    # ((q, p)) is off the diagonal and not in I, bit p of free_diag when cell
+    # (p, p) is not in I, and bit q of pins[p] when X_pq or X_qp is pinned
+    cells = [(i - 1, j - 1) for i, j in I]
+    free_diag = (1 << n) - 1
+    free_rows = [free_diag ^ (1 << p) for p in range(n)]
+    free_cols = free_rows.copy()
+    for i, j in cells:
+        free_rows[i] &= ~(1 << j)
+        free_cols[j] &= ~(1 << i)
+        if i == j:
+            free_diag ^= 1 << i
+    pins = [0] * n
+    for i, j in cells:
+        pins[i] |= free_cols[j]
+        pins[j] |= free_rows[i]
+        if free_diag & (free_diag - 1) and free_diag & (1 << i | 1 << j):
+            pins[i] |= 1 << j
+    return n + 2 * sum(
+        not (pins[p] >> q | pins[q] >> p) & 1 for p in range(n) for q in range(p + 1, n)
+    )
 
 
 def is_defective(I: Pattern, n: int) -> bool:

@@ -365,14 +365,13 @@ def check_complexity_one(n: int) -> dict:
     report["distinct_weak_classes"] = len(keys)
     if n <= MAX_ENUM_N:
         # complexity is a class invariant, so whole classes are in or out
-        count = 0
-        weak_keys = set()
-        for rep_mask, orbit_size in _class_walk(n):
-            if Pattern.from_mask(rep_mask, n).complexity() == 1:
-                count += orbit_size
-                weak_keys.add(_weak_code(rep_mask, n))
-        report["num_complexity_one_patterns"] = count
-        report["num_weak_classes"] = len(weak_keys)
+        ones = [
+            (m, size) for m, size in _class_walk(n)
+            if Pattern.from_mask(m, n).complexity() == 1
+        ]
+        report["num_complexity_one_patterns"] = sum(size for _, size in ones)
+        codes = _weak_code([m for m, _ in ones], n).tolist()
+        report["num_weak_classes"] = len(set(codes))
     else:
         report["num_weak_classes"] = None
     report["passed"] = (

@@ -312,6 +312,19 @@ def test_weak_form_matches_flip_bfs():
         assert len(by_key) == len(set(roots.values()))
 
 
+def test_census_flip_key_count_matches_the_weak_forms(census5, monkeypatch):
+    # the census counts flip keys over blocks of representatives, 880 at n = 5
+    for n in (2, 3, 4, 5):
+        census, records = census5 if n == 5 else classify_all(n)
+        forms = {weak_canonical_form(r.canonical, n) for r in records}
+        assert census.num_weak_classes == len(forms), n
+    monkeypatch.setattr(classify, "_KEY_CHUNK", 7)
+    census, records = classify_all(4)
+    assert census.num_weak_classes == len(
+        {weak_canonical_form(r.canonical, 4) for r in records}
+    ) == 12
+
+
 def test_census_small():
     expected = load_expected()["census"]
     for n in (2, 3, 4):

@@ -156,6 +156,31 @@ def test_pairing_matches_naive_random_n5():
         assert pair_with_vandermonde(I, 5) == pair_with_vandermonde_naive(I, 5)
 
 
+def test_pairing_matches_naive_across_groups():
+    # from n = 6 on, the mu(n) factors span more than one exact int64 group
+    assert zeropat.polynomials._pair_constants(5)[0] >= mu(5)
+    rng = random.Random(6)
+    for n, count in ((6, 20), (7, 5)):
+        assert zeropat.polynomials._pair_constants(n)[0] < mu(n)
+        for _ in range(count):
+            I = random_strict(rng, n)
+            assert pair_with_vandermonde(I, n) == pair_with_vandermonde_naive(I, n)
+
+
+def test_pairing_sums_across_row_blocks(monkeypatch):
+    # 7 rows a block: 120 permutations end in a partial block
+    monkeypatch.setattr(zeropat.polynomials, "_PAIR_CHUNK", 7)
+    rng = random.Random(7)
+    for _ in range(20):
+        I = random_strict(rng, 5)
+        assert pair_with_vandermonde(I, 5) == pair_with_vandermonde_naive(I, 5)
+
+
+def test_pairing_of_the_empty_pattern_at_n1():
+    # mu(1) = 0: no factors, one permutation of sign +1
+    assert pair_with_vandermonde(Pattern([]), 1) == 1
+
+
 def test_permutation_table():
     for n in range(7):
         perms, signs = permutation_table(n)
