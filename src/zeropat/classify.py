@@ -17,9 +17,11 @@ minimum of b @ W, both from the pattern alone.  The census lists the sorted
 masks of all strict patterns by array arithmetic, joining every subset of
 the low half of the off-diagonal cells with every subset of the high half
 of the complementary size, and walks them: the first unvisited mask is the
-minimum of its orbit, hence the class representative, and marking its
-deduplicated images visited gives the orbit size.  Output is reproducible
-bit for bit.
+minimum of its orbit, hence the class representative.  Its images are
+marked visited at their colex ranks, two lookups in tables cached per n
+with no search of the sorted masks, and the orbit size is 2 n! over the
+number of images equal to the representative, its stabilizer.  Output is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -124,8 +126,12 @@ def strict_count(n: int) -> int:
 # -- the orbit engine ------------------------------------------------------------
 
 #: strict masks per visited-scan chunk of the census walk; the n = 5 walk
-#: time is flat for chunks from 256 to 65,536 masks
+#: time is flat for chunks from 256 to 16,384 masks, and about a third
+#: longer at 64 or 65,536, where more unvisited entries are rechecked
 _WALK_CHUNK = 4096
+#: grid bits per slice of the colex rank tables at most; two slices cover
+#: the grid through n = 6
+_RANK_BITS = 18
 #: class representatives per flip-key product of the census (0.5 MB at n = 5)
 _KEY_CHUNK = 256
 
@@ -224,23 +230,97 @@ def _strict_masks(n: int) -> np.ndarray:
     return masks
 
 
+@functools.cache
+def _rank_tables(
+    n: int,
+) -> tuple[int, np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """Tables of the colex rank of strict masks, cached and read-only.
+
+    A strict mask has mu(n) bits, all off-diagonal, so masks order as the
+    colex order of their off-diagonal cell indices c_1 < ... < c_mu, and the
+    index of a mask in ``_strict_masks`` is sum_t C(c_t, t), the
+    combinatorial number system (Knuth, TAOCP 7.2.1.3).  The grid bits below
+    the last cell, a diagonal one, split into slices of at most _RANK_BITS
+    bits, each with a table of the terms of its own cells, indexed by its
+    bits: the lowest slice counts t from 1; the highest counts it from
+    mu(n) less its own set bits, since every other bit of the mask lies
+    below it; a slice between them has one row per count of set bits below
+    it.  Entries that no strict mask reaches hold meaningless values.
+
+    Returns the first bit of the highest slice, the lowest and the highest
+    table, and (first bit, table) of each slice between them: none for
+    n <= 6, where the tables take 3 MB."""
+    m = mu(n)
+    index = {(i - 1) * n + (j - 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
+    binom = np.array(
+        [[math.comb(k, t) for t in range(m + 1)] for k in range(2 * m)], dtype=np.int64
+    )
+    parts = max(2, -(-(n * n - 1) // _RANK_BITS))
+    bounds = [(n * n - 1) * p // parts for p in range(parts + 1)]
+    tables = []
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        # each new bit doubles the table: the lower slices add cells upward,
+        # the new bit the most significant index bit, the highest adds them
+        # downward, the new bit the least significant one
+        top = p == parts - 1
+        axis = -1 if top else -2
+        below = np.arange(m + 1 if 0 < p < parts - 1 else 1)[:, None]
+        terms = np.zeros((below.size, 1), dtype=np.int64)
+        size = np.zeros(1, dtype=np.int64)
+        for c in range(hi - 1, lo - 1, -1) if top else range(lo, hi):
+            k = index.get(c)
+            add = 0 if k is None else binom[k, np.clip(
+                m - size if top else below + size + 1, 0, m)]
+            terms = np.stack([terms, terms + add], axis).reshape(below.size, -1)
+            size = np.stack([size, size + (k is not None)], axis).ravel()
+        table = terms[0] if below.size == 1 else terms
+        table.flags.writeable = False
+        tables.append(table)
+    return bounds[-2], tables[0], tables[-1], tuple(zip(bounds[1:-2], tables[1:-1]))
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each nonnegative int64, by parallel bit counting."""
+    x = x - ((x >> 1) & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return (x * 0x0101010101010101) >> 56
+
+
+def _rank(masks, n: int) -> np.ndarray:
+    """Index of each strict mask in ``_strict_masks(n)``, from the cached
+    colex tables alone (see ``_rank_tables``): two gathers for n <= 6.
+    Strict masks leave the last cell, a diagonal one, empty, so they are
+    nonnegative as int64, the index type of the gathers.  Needs n <= 8."""
+    shift, low, high, inner = _rank_tables(n)
+    m = np.asarray(masks, dtype=np.uint64).view(np.int64)
+    rank = low[m & (low.size - 1)] + high[m >> shift]
+    for lo, table in inner:
+        chunk = (m >> lo) & (table.shape[1] - 1)
+        rank += table[_popcount(m & ((1 << lo) - 1)), chunk]
+    return rank
+
+
 def _class_walk(n: int):
     """Yield (canonical mask, orbit size) for every class of strict
     size-mu(n) patterns in increasing canonical mask.  The first unvisited
-    strict mask is the minimum of its orbit; each chunk of the sorted masks
+    strict mask is the minimum of its orbit; its images are marked visited
+    at their colex ranks, and its orbit size is 2 n! over the number of
+    images equal to it, its stabilizer.  Each chunk of the sorted masks
     lists its unvisited ones at once, and each is checked again before use,
     since an orbit met earlier in the chunk may cover it."""
     masks = _strict_masks(n)
+    order = 2 * math.factorial(n)
     visited = np.zeros(masks.size, dtype=bool)
     for start in range(0, masks.size, _WALK_CHUNK):
         fresh = start + np.flatnonzero(~visited[start:start + _WALK_CHUNK])
         for k in fresh.tolist():
             if visited[k]:
                 continue
-            images = np.sort(_orbit_images(masks[k], n))
-            orbit = images[np.concatenate(([True], images[1:] != images[:-1]))]
-            visited[np.searchsorted(masks, orbit)] = True
-            yield int(masks[k]), int(orbit.size)
+            mask = masks[k]
+            images = _orbit_images(mask, n)
+            visited[_rank(images, n)] = True
+            yield int(mask), order // int(np.count_nonzero(images == mask))
 
 
 def canonical_form(I: Pattern, n: int) -> Pattern:
@@ -301,7 +381,10 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         if len(records) % 100 == 0:
             log(f"  classified {len(records)} classes, {covered}/{total} patterns")
 
-    assert covered == total
+    if covered != total:
+        raise AssertionError(
+            f"the class orbits cover {covered} of the {total} strict patterns"
+        )
     for k in range(0, len(walk), _KEY_CHUNK):
         weak_keys.update(_weak_code([m for m, _ in walk[k:k + _KEY_CHUNK]], n).tolist())
     census = ClassCensus(

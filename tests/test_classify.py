@@ -118,6 +118,15 @@ def class_walk_by_entry_loop(n):
     return classes
 
 
+def colex_rank_by_comb(mask, n):
+    """Oracle for _rank: the sum of C(c, t) over the off-diagonal cells of a
+    strict mask, c the index of the t-th of them in the order of
+    offdiag_cells, counting t from 1."""
+    cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
+    held = [c for c, bit in enumerate(cells) if mask >> bit & 1]
+    return sum(math.comb(c, t) for t, c in enumerate(held, 1))
+
+
 def class_count_by_burnside(n):
     """Oracle for the class totals: by Burnside's lemma, the average over the
     2 n! relabelings and their transposes of the number of strict patterns
@@ -238,6 +247,35 @@ def test_image_matrices_match_the_gather_table():
             assert classify._weak_code(m, n) == int(weak.min())
 
 
+def test_rank_of_the_strict_masks_is_their_index():
+    for n in (2, 3, 4, 5):
+        ranks = classify._rank(classify._strict_masks(n), n)
+        assert np.array_equal(ranks, np.arange(strict_count(n)))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_rank_matches_the_colex_sum(monkeypatch, n):
+    def no_masks(n):
+        raise AssertionError("the strict masks were built")
+
+    monkeypatch.setattr(classify, "_strict_masks", no_masks)
+    rng = random.Random(n)
+    cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
+    # the first and the last strict mask, then seeded random ones
+    masks = [sum(1 << c for c in cells[:mu(n)]), sum(1 << c for c in cells[mu(n):])]
+    masks += [random_strict(rng, n).mask(n) for _ in range(200)]
+    ranks = classify._rank(masks, n)
+    assert ranks.tolist() == [colex_rank_by_comb(m, n) for m in masks]
+    assert ranks[0] == 0 and ranks[1] == strict_count(n) - 1
+
+
+def test_rank_tables_at_n6_are_two_within_4_mb():
+    _, low, high, inner = classify._rank_tables(6)
+    assert inner == ()
+    assert low.nbytes + high.nbytes <= 4 * 2**20
+    assert not low.flags.writeable and not high.flags.writeable
+
+
 def test_class_walk_matches_the_entry_loop(monkeypatch):
     for n in (2, 3, 4, 5):
         assert list(classify._class_walk(n)) == class_walk_by_entry_loop(n)
@@ -245,6 +283,14 @@ def test_class_walk_matches_the_entry_loop(monkeypatch):
     # be walked again from a later entry of the same chunk
     monkeypatch.setattr(classify, "_WALK_CHUNK", 7)
     assert list(classify._class_walk(4)) == class_walk_by_entry_loop(4)
+
+
+def test_census_checks_that_the_orbits_cover_every_pattern(monkeypatch):
+    walk = classify._class_walk
+    # drop the first class, an orbit of 12 of the 20 patterns
+    monkeypatch.setattr(classify, "_class_walk", lambda n: list(walk(n))[1:])
+    with pytest.raises(AssertionError, match="the class orbits cover 8 of the 20 "):
+        classify_all(3)
 
 
 def test_enumeration_is_strict_and_unique():
