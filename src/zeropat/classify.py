@@ -129,9 +129,6 @@ def strict_count(n: int) -> int:
 #: time is flat for chunks from 256 to 16,384 masks, and about a third
 #: longer at 64 or 65,536, where more unvisited entries are rechecked
 _WALK_CHUNK = 4096
-#: grid bits per slice of the colex rank tables at most; two slices cover
-#: the grid through n = 6
-_RANK_BITS = 18
 #: class representatives per flip-key product of the census (0.5 MB at n = 5)
 _KEY_CHUNK = 256
 
@@ -231,74 +228,58 @@ def _strict_masks(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _rank_tables(
-    n: int,
-) -> tuple[int, np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """Tables of the colex rank of strict masks, cached and read-only.
+def _rank_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Tables of the colex rank of strict masks for n <= 6, cached and
+    read-only.
 
     A strict mask has mu(n) bits, all off-diagonal, so masks order as the
     colex order of their off-diagonal cell indices c_1 < ... < c_mu, and the
     index of a mask in ``_strict_masks`` is sum_t C(c_t, t), the
     combinatorial number system (Knuth, TAOCP 7.2.1.3).  The grid bits below
-    the last cell, a diagonal one, split into slices of at most _RANK_BITS
-    bits, each with a table of the terms of its own cells, indexed by its
-    bits: the lowest slice counts t from 1; the highest counts it from
-    mu(n) less its own set bits, since every other bit of the mask lies
-    below it; a slice between them has one row per count of set bits below
-    it.  Entries that no strict mask reaches hold meaningless values.
+    the last cell, a diagonal one, split into a low and a high half, each
+    with a table of the terms of its own cells, indexed by its bits: the low
+    half counts t from 1; the high half counts it from mu(n) less its own
+    set bits, since every other bit of the mask lies below it.  Entries that
+    no strict mask reaches hold meaningless values.
 
-    Returns the first bit of the highest slice, the lowest and the highest
-    table, and (first bit, table) of each slice between them: none for
-    n <= 6, where the tables take 3 MB."""
+    Returns the first bit of the high half and the low and the high table,
+    which take 3 MB at n = 6.  ValueError for n > 6, where two halves would
+    take about 256 MB."""
+    if n > 6:
+        raise ValueError(f"colex rank tables are budgeted for n <= 6, got {n}")
     m = mu(n)
     index = {(i - 1) * n + (j - 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
     binom = np.array(
         [[math.comb(k, t) for t in range(m + 1)] for k in range(2 * m)], dtype=np.int64
     )
-    parts = max(2, -(-(n * n - 1) // _RANK_BITS))
-    bounds = [(n * n - 1) * p // parts for p in range(parts + 1)]
+    shift = (n * n - 1) // 2
     tables = []
-    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        # each new bit doubles the table: the lower slices add cells upward,
-        # the new bit the most significant index bit, the highest adds them
+    for top in (False, True):
+        # each new bit doubles the table: the low half adds cells upward, the
+        # new bit the most significant index bit, the high half adds them
         # downward, the new bit the least significant one
-        top = p == parts - 1
-        axis = -1 if top else -2
-        below = np.arange(m + 1 if 0 < p < parts - 1 else 1)[:, None]
-        terms = np.zeros((below.size, 1), dtype=np.int64)
+        axis = -1 if top else 0
+        terms = np.zeros(1, dtype=np.int64)
         size = np.zeros(1, dtype=np.int64)
-        for c in range(hi - 1, lo - 1, -1) if top else range(lo, hi):
+        for c in range(n * n - 2, shift - 1, -1) if top else range(shift):
             k = index.get(c)
             add = 0 if k is None else binom[k, np.clip(
-                m - size if top else below + size + 1, 0, m)]
-            terms = np.stack([terms, terms + add], axis).reshape(below.size, -1)
+                m - size if top else size + 1, 0, m)]
+            terms = np.stack([terms, terms + add], axis).ravel()
             size = np.stack([size, size + (k is not None)], axis).ravel()
-        table = terms[0] if below.size == 1 else terms
-        table.flags.writeable = False
-        tables.append(table)
-    return bounds[-2], tables[0], tables[-1], tuple(zip(bounds[1:-2], tables[1:-1]))
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each nonnegative int64, by parallel bit counting."""
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
+        terms.flags.writeable = False
+        tables.append(terms)
+    return shift, tables[0], tables[1]
 
 
 def _rank(masks, n: int) -> np.ndarray:
-    """Index of each strict mask in ``_strict_masks(n)``, from the cached
-    colex tables alone (see ``_rank_tables``): two gathers for n <= 6.
-    Strict masks leave the last cell, a diagonal one, empty, so they are
-    nonnegative as int64, the index type of the gathers.  Needs n <= 8."""
-    shift, low, high, inner = _rank_tables(n)
+    """Index of each strict mask in ``_strict_masks(n)``, from the two cached
+    colex tables of ``_rank_tables``, so n <= 6.  Strict masks leave the last
+    cell, a diagonal one, empty, so they are nonnegative as int64, the index
+    type of the gathers."""
+    shift, low, high = _rank_tables(n)
     m = np.asarray(masks, dtype=np.uint64).view(np.int64)
-    rank = low[m & (low.size - 1)] + high[m >> shift]
-    for lo, table in inner:
-        chunk = (m >> lo) & (table.shape[1] - 1)
-        rank += table[_popcount(m & ((1 << lo) - 1)), chunk]
-    return rank
+    return low[m & (low.size - 1)] + high[m >> shift]
 
 
 def _class_walk(n: int):

@@ -5,8 +5,9 @@ matrix, the degree-24 invariant polynomial P whose zero set contains every
 matrix with a non-transversal orbit intersection, the degree-6 factor P1 on
 the pattern subspace together with the ratio extraction of the degree-12
 cofactor, transversality tests, and a random-restart Gauss-Newton reducer on
-the unitary group that counts the flags reducing a generic matrix into the
-pattern subspace.
+the unitary group.  ``count_reductions`` counts the flags reducing a matrix
+of size 2, 3 or 4 into the subspace of any pattern; ``count_flags`` runs it
+on the cyclic pattern and adds the checks that exist only there.
 
 All tolerances are taken relative to natural homogeneity scales: inputs are
 normalized to unit Frobenius norm before thresholding.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -419,6 +420,15 @@ RESID_TOL = 1e-18
 #: tolerance on unit-norm matrices of the diagonal-torus conjugacy test
 TORUS_TOL = 1e-7
 
+#: largest norm of the off-diagonal part of U* U' at which two reducing
+#: unitaries U, U' give the same flag.  On 16 flags3 samples (seeds 1, 7 and
+#: 2024), restarts lie within 4.2e-8 of their flag and flags 0.74 apart
+FLAG_TOL = 1e-4
+
+#: restarts one count accepts at most: every start is drawn and held at
+#: once, about 1.2 kB each, so 10**6 restarts take about 1.2 GB
+MAX_RESTARTS = 10**6
+
 #: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
 #: its diagonal, that the Gram step accepts.  The j-th pivot is the squared
 #: distance of row j of J from the span of the rows before it, so a Jacobian
@@ -449,20 +459,22 @@ class FlagCensus:
     ``last_new_cluster`` is the index of the restart whose endpoint founded
     the last cluster (None without clusters): far below ``n_restarts``, the
     budget had room to spare.  ``gn_iterations[k]`` counts the restarts that
-    took k Gauss-Newton steps."""
+    took k Gauss-Newton steps.  The fields from ``cluster_p1`` on belong to
+    the cyclic pattern: ``count_flags`` fills them, ``count_reductions``
+    leaves them empty or None."""
 
     num_flags: int
     solutions: list[FlagSolution]
     cluster_hits: list[int]
-    cluster_p1: list[float]
     n_restarts: int
     n_converged: int
-    generic: bool
-    z_orbit_closed: bool
+    incomplete: bool
+    last_new_cluster: int | None
+    gn_iterations: list[int]
+    cluster_p1: list[float] = field(default_factory=list)
+    generic: bool | None = None
+    z_orbit_closed: bool | None = None
     p1_group_sizes: list[int] = field(default_factory=list)
-    incomplete: bool = False
-    last_new_cluster: int | None = None
-    gn_iterations: list[int] = field(default_factory=list)
 
 
 def haar_unitaries(rng, count: int, n: int) -> np.ndarray:
@@ -724,7 +736,7 @@ def gauss_newton_reduce(
     of ``_exp3_trials``, whose t-independent matrices are formed once per
     iteration, so a step length only rescales two phases and one angle; the
     ``eigh`` of -iX (``_eigh_trials``) runs only at other n, i.e. for
-    ``numeric_reduce`` at n = 2 and n = 4.  The endpoints are re-unitarized
+    ``count_reductions`` at n = 2 and n = 4.  The endpoints are re-unitarized
     by one Newton-Schulz step U <- (3 U - U U* U) / 2 toward the polar
     factor.  At n = 3 an iteration makes no per-matrix LAPACK or BLAS call
     unless a rank-deficient Jacobian takes the SVD step.  The maps that are
@@ -801,42 +813,80 @@ def gauss_newton_reduce(
 def _seeded_reduce(A, I: Pattern, restarts: int, seed: int, max_iter: int):
     """``gauss_newton_reduce`` of A into the subspace of pattern I, in one call
     from the first ``restarts`` Haar draws of ``np.random.default_rng(seed)``,
-    up to max_iter steps each; ValueError without a restart."""
+    up to max_iter steps each; ValueError unless 1 <= restarts <=
+    MAX_RESTARTS."""
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"at most {MAX_RESTARTS} restarts, got {restarts}")
     starts = haar_unitaries(np.random.default_rng(seed), restarts, A.shape[0])
     return gauss_newton_reduce(A, starts, list(I), max_iter)
 
 
-def numeric_reduce(
-    A,
-    I: Pattern,
-    n: int,
-    restarts: int = 200,
-    seed: int = 0,
-) -> FlagSolution | None:
-    """Search for a unitary putting A into the subspace of pattern I.
+def _flag_clusters(U: np.ndarray) -> np.ndarray:
+    """Cluster label of each unitary of the stack U, in order of appearance.
+    The first unitary no cluster holds founds the next one, F, which takes
+    every unlabeled U' giving the same flag: the off-diagonal part of F* U'
+    has norm at most FLAG_TOL.  F* U' is unitary, so that norm squared is
+    n - sum_i |(F* U')_ii|^2, and only the diagonal is formed."""
+    n = U.shape[-1]
+    labels = np.full(len(U), -1, dtype=np.intp)
+    unlabeled = np.arange(len(U))
+    k = 0
+    while unlabeled.size:
+        F = U[unlabeled[0]]
+        d = np.einsum("ji,rji->ri", F.conj(), U[unlabeled])
+        match = n - (d.real**2 + d.imag**2).sum(axis=1) <= FLAG_TOL**2
+        match[0] = True
+        labels[unlabeled[match]] = k
+        unlabeled = unlabeled[~match]
+        k += 1
+    return labels
 
-    Each restart takes up to 80 Gauss-Newton steps on A normalized to unit
-    norm and has converged when its squared residual is at most RESID_TOL.
-    All restarts are reduced in one ``gauss_newton_reduce`` call, and the
-    first converged one in restart order is returned.  Success is evidence
-    of orbit intersection; failure after the restart budget is evidence of
-    nothing.  A must be a finite n x n matrix (ValueError otherwise).
-    """
+
+def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> FlagCensus:
+    """Count the flags reducing A into the subspace of pattern I, by
+    clustering the converged endpoints of random-restart Gauss-Newton runs.
+
+    A must be a finite n x n matrix with n in {2, 3, 4} and I a pattern in
+    its grid (ValueError otherwise, as for a zero traceless part); it is made
+    traceless and normalized to unit Frobenius norm first.  Each restart
+    takes up to 60 Gauss-Newton steps and has converged when its squared
+    residual is at most RESID_TOL; the converged endpoints are clustered by
+    flag (``_flag_clusters``), each cluster represented by its founder.  A
+    flag is evidence of orbit intersection; none after the restart budget is
+    evidence of nothing.  All restarts go through one ``gauss_newton_reduce``
+    call, which steps at most _BLOCK of them at a time; the outputs do not
+    depend on _BLOCK."""
+    A = np.asarray(A, dtype=complex)
+    n = len(A) if A.ndim else 0
     if n not in (2, 3, 4):
-        raise ValueError("reducer is budgeted for n in {2, 3, 4}")
+        raise ValueError(f"reducer is budgeted for n in {{2, 3, 4}}, got {A.shape}")
     A = _square(A, n)
     I.check_within(n)
+    A = A - np.trace(A) / n * np.eye(n)
     s = float(np.linalg.norm(A))
     if s == 0.0:
-        return FlagSolution(np.eye(n, dtype=complex), A.copy(), 0.0)
-    U, _, res, _ = _seeded_reduce(A / s, I, restarts, seed, 80)
-    hit = np.flatnonzero(res <= RESID_TOL)
-    if hit.size == 0:
-        return None
-    U = U[hit[0]].copy()
-    return FlagSolution(U, U.conj().T @ A @ U, float(res[hit[0]]) * s * s)
+        raise ValueError("zero matrix")
+    U, B, res, taken = _seeded_reduce(A / s, I, restarts, seed, 60)
+    converged = np.flatnonzero(res <= RESID_TOL)
+    _, first, hits = np.unique(
+        _flag_clusters(U[converged]), return_index=True, return_counts=True
+    )
+    founders = converged[first]
+    return FlagCensus(
+        num_flags=int(founders.size),
+        # copies, so a census does not keep every endpoint of the run alive
+        solutions=[
+            FlagSolution(U[k].copy(), B[k].copy(), float(res[k])) for k in founders
+        ],
+        cluster_hits=hits.tolist(),
+        n_restarts=restarts,
+        n_converged=int(converged.size),
+        incomplete=converged.size < max(10, restarts // 200),
+        last_new_cluster=int(founders[-1]) if founders.size else None,
+        gn_iterations=np.bincount(taken).tolist(),
+    )
 
 
 def _torus_invariants(B: np.ndarray):
@@ -874,88 +924,35 @@ def torus_equivalent(B, C) -> bool:
     return bool(_torus_match(_torus_invariants(B), _torus_invariants(C)))
 
 
-def _torus_clusters(B: np.ndarray) -> np.ndarray:
-    """Cluster label of each matrix of the stack B, in order of appearance.
+def count_flags(A, restarts: int = 2000, seed: int = 0) -> FlagCensus:
+    """``count_reductions`` of a 3 x 3 matrix A into the cyclic pattern
+    subspace, with the checks that exist only for that pattern.
 
-    The first matrix no cluster holds founds the next one, which takes every
-    unlabeled matrix ``torus_equivalent`` to it (tested with that matrix as
-    the first argument).  These are the clusters of a first-come scan that
-    puts each matrix into the first earlier cluster whose founder it matches.
-    """
-    inv = _torus_invariants(B)
-    labels = np.full(len(B), -1, dtype=np.intp)
-    unlabeled = np.arange(len(B))
-    k = 0
-    while unlabeled.size:
-        founder = unlabeled[0]
-        match = _torus_match(
-            tuple(x[unlabeled] for x in inv), tuple(x[founder] for x in inv)
-        )
-        match[0] = True
-        labels[unlabeled[match]] = k
-        unlabeled = unlabeled[~match]
-        k += 1
-    return labels
-
-
-def count_flags(
-    A,
-    restarts: int = 2000,
-    seed: int = 0,
-) -> FlagCensus:
-    """Count the diagonal-torus orbits in the intersection of the conjugation
-    orbit of A with the cyclic pattern subspace, by clustering the converged
-    endpoints of random-restart Gauss-Newton runs.
-
-    A must be a finite 3 x 3 matrix (ValueError otherwise, as for a zero
-    traceless part); it is made traceless and normalized to unit Frobenius
-    norm first.  Each restart takes up to 60 Gauss-Newton steps and has
-    converged when its squared residual is at most RESID_TOL; the converged
-    endpoints are clustered by the torus match of ``torus_equivalent``, and
-    the z-orbit of the clusters is checked by the same match.  The count
-    equals the number of flags reducing A into the subspace when every
-    intersection point is transversal; a sample with a cluster whose |P1| is
-    below 1e-6 is marked non-generic.  The clusters are grouped by P1 rounded
-    to TORUS_TOL.  All restarts go through one ``gauss_newton_reduce`` call,
-    which steps at most _BLOCK of them at a time; the outputs do not depend
-    on _BLOCK.
-    """
-    A = _square(A)
-    A = A - np.trace(A) / 3 * np.eye(3)
-    s = float(np.linalg.norm(A))
-    if s == 0.0:
-        raise ValueError("zero matrix")
-    U, B, res, taken = _seeded_reduce(A / s, CYCLIC_PATTERN, restarts, seed, 60)
-    converged = np.flatnonzero(res <= RESID_TOL)
-    U, B, res = U[converged], B[converged], res[converged]
-    labels = _torus_clusters(B)
-    _, first, hits = np.unique(labels, return_index=True, return_counts=True)
-    # copies, so a census does not keep every endpoint of the run alive
-    reps = [FlagSolution(U[k].copy(), B[k].copy(), float(res[k])) for k in first]
-    p1 = np.array([poly_P1(r.reduced) for r in reps], dtype=float)
+    A must be a finite 3 x 3 matrix (ValueError otherwise, or for what
+    ``count_reductions`` rejects).  The z-orbit of the clusters is checked by
+    the torus match of ``torus_equivalent``: the conjugate z C z^T of each
+    cluster C must match a cluster of the same P1.  The count equals the
+    number of flags reducing A into the subspace when every intersection
+    point is transversal; a sample with a cluster whose |P1| is below 1e-6
+    is marked non-generic.  The clusters are grouped by P1 rounded to
+    TORUS_TOL."""
+    census = count_reductions(_square(A), CYCLIC_PATTERN, restarts, seed)
+    C = np.array([r.reduced for r in census.solutions]).reshape(-1, 3, 3)
+    p1 = np.array([poly_P1(M) for M in C], dtype=float)
     # each z C z^T against every cluster C; it permutes C's entries exactly
     z = CYCLE_MATRIX.argmax(axis=1)
-    C = B[first]
     match = _torus_match(
         tuple(x[:, None] for x in _torus_invariants(C[:, z[:, None], z])),
         tuple(x[None] for x in _torus_invariants(C)),
     )
-    # the first match in each row decides; argmax needs a row to pick from
-    k = match.argmax(axis=1) if reps else first
-    z_closed = bool(np.all(match.any(axis=1) & (np.abs(p1[k] - p1) <= 1e-6)))
-    generic = bool(reps) and bool(np.abs(p1).min() >= 1e-6)
+    # the first match in each row decides, and it must carry the row's P1
+    first = match & (np.cumsum(match, axis=1) == 1)
+    same_p1 = np.abs(p1[:, None] - p1[None]) <= 1e-6
     groups = np.unique(np.round(p1 / TORUS_TOL), return_counts=True)[1]
-    return FlagCensus(
-        num_flags=len(reps),
-        solutions=reps,
-        cluster_hits=hits.tolist(),
+    return replace(
+        census,
         cluster_p1=p1.tolist(),
-        n_restarts=restarts,
-        n_converged=int(converged.size),
-        generic=generic,
-        z_orbit_closed=z_closed,
+        generic=bool(p1.size and np.abs(p1).min() >= 1e-6),
+        z_orbit_closed=bool(np.all((first & same_p1).any(axis=1))),
         p1_group_sizes=sorted(groups.tolist(), reverse=True),
-        incomplete=converged.size < max(10, restarts // 200),
-        last_new_cluster=int(converged[first[-1]]) if reps else None,
-        gn_iterations=np.bincount(taken).tolist(),
     )

@@ -329,6 +329,20 @@ def test_flags3_fails_a_run_that_converges_nothing(capsys, monkeypatch):
     assert code == 1 and json.loads(out)["passed"] is False
 
 
+def test_flags3_rejects_a_restart_budget_past_the_cap(capsys, monkeypatch):
+    # the cap is checked before any start is drawn: every start is held at
+    # once, about 1.2 kB each
+    def refuse(*args):
+        raise AssertionError("the starts were drawn")
+
+    monkeypatch.setattr("zeropat.orbit3.haar_unitaries", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["flags3", "--samples", "1", "--restarts", "1000001"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zeropat: error: at most 1000000 restarts, got 1000001" in err
+
+
 def test_flags3_deterministic(capsys):
     _, out1 = run_cli(capsys, "flags3", "--samples", "1", "--restarts", "200", "--seed", "3")
     _, out2 = run_cli(capsys, "flags3", "--samples", "1", "--restarts", "200", "--seed", "3")

@@ -16,11 +16,11 @@ from zeropat.orbit3 import (
     FlagCensus,
     FlagSolution,
     count_flags,
+    count_reductions,
     haar_unitaries,
     haar_unitary,
     invariants,
     is_transversal_at,
-    numeric_reduce,
     poly_P1,
     poly_P2_ratio,
     random_cyclic_subspace,
@@ -171,16 +171,15 @@ def test_cycle_conjugation_preserves_subspace():
 def test_numeric_reduce_triangularization():
     rng = np.random.default_rng(12)
     A = random_traceless(rng, 3)
-    sol = numeric_reduce(A, ne(3), 3, restarts=50, seed=0)
-    assert sol is not None and sol.residual <= 1e-16
+    sol = count_reductions(A, ne(3), restarts=50, seed=0).solutions[0]
+    assert sol.residual <= 1e-16
 
 
 def test_numeric_reduce_universal_exceptional():
     rng = np.random.default_rng(13)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     A -= np.trace(A) / 4 * np.eye(4)
-    sol = numeric_reduce(A, EXCEPTIONAL_4[2], 4, restarts=150, seed=1)
-    assert sol is not None
+    assert count_reductions(A, EXCEPTIONAL_4[2], restarts=150, seed=1).num_flags > 0
 
 
 def test_numeric_reduce_obstructed_case():
@@ -188,22 +187,29 @@ def test_numeric_reduce_obstructed_case():
     N = np.zeros((4, 4), dtype=complex)
     N[0, 1] = 1
     N[2, 3] = 1
-    sol = numeric_reduce(N, EXCEPTIONAL_4[0], 4, restarts=150, seed=2)
-    assert sol is None
+    assert count_reductions(N, EXCEPTIONAL_4[0], restarts=150, seed=2).num_flags == 0
 
 
 def test_numeric_reduce_validation():
-    with pytest.raises(ValueError):
-        numeric_reduce(np.zeros((5, 5)), ne(5), 5)
+    A = random_traceless(np.random.default_rng(14), 3)
+    with pytest.raises(ValueError, match="budgeted"):
+        count_reductions(np.zeros((5, 5)), ne(5))
     with pytest.raises(ValueError, match="does not match"):
-        numeric_reduce(np.zeros((4, 4)), ne(3), 3)
+        count_reductions(np.zeros((3, 4)), ne(3))
+    with pytest.raises(ValueError, match="outside the 3 x 3 grid"):
+        count_reductions(A, ne(4))
     for bad in (np.nan, np.inf, complex(0, -np.inf)):
-        A = random_traceless(np.random.default_rng(14), 3)
-        A[1, 2] = bad
+        B = A.copy()
+        B[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            numeric_reduce(A, ne(3), 3, restarts=5)
+            count_reductions(B, ne(3), restarts=5)
+    with pytest.raises(ValueError, match="zero matrix"):
+        count_reductions(np.eye(4), ne(4), restarts=5)
     with pytest.raises(ValueError, match="at least one restart"):
-        numeric_reduce(random_traceless(np.random.default_rng(14), 3), ne(3), 3, restarts=0)
+        count_reductions(A, ne(3), restarts=0)
+    # checked before the starts are drawn
+    with pytest.raises(ValueError, match="at most 1000000 restarts"):
+        count_reductions(A, ne(3), restarts=orbit3.MAX_RESTARTS + 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -367,27 +373,13 @@ def torus_equivalent_grid(B, C, steps=600, tol=1e-6):
     return False
 
 
-def greedy_clusters(mats, tol=1e-7):
-    """Oracle for the clustering in count_flags: each matrix joins the first
-    earlier cluster whose founder it matches, else founds a new one."""
-    founders, labels = [], []
-    for M in mats:
-        for k, F in enumerate(founders):
-            if torus_equivalent_scalar(M, F, tol):
-                labels.append(k)
-                break
-        else:
-            labels.append(len(founders))
-            founders.append(M)
-    return labels
-
-
 def count_flags_by_restart_loop(
     A, restarts=2000, seed=0, max_iter=60, resid_tol=1e-18, cluster_tol=1e-7,
     genericity_band=1e-6,
 ):
     """Oracle for count_flags: a Python loop over the restarts, each drawn by
-    ``haar_unitary`` and reduced alone, clustered by the greedy loop."""
+    ``haar_unitary`` and reduced alone, clustered by a greedy loop of the
+    torus test, which the flag clustering must reproduce."""
     A = np.asarray(A, dtype=complex)
     A = A - np.trace(A) / 3 * np.eye(3)
     A = A / np.linalg.norm(A)
@@ -486,14 +478,14 @@ def test_haar_unitaries_match_a_loop_of_haar_unitary():
         assert np.array_equal(batch, np.stack(loop))
 
 
-def test_torus_clusters_match_the_greedy_loop():
+def test_torus_equivalent_matches_the_scalar_loop():
     rng = np.random.default_rng(21)
     founders = [random_cyclic_subspace(rng) for _ in range(4)]
     # two founders with a vanishing free entry, one exactly and one below tol
     founders[2][0, 1] = 0
     founders[3][2, 0] = 3e-8
     mats = []
-    for _ in range(80):
+    for _ in range(20):
         j = rng.integers(len(founders))
         t = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=3)))
         M = np.linalg.inv(t) @ founders[j] @ t
@@ -504,13 +496,31 @@ def test_torus_clusters_match_the_greedy_loop():
             # matrix whose own entry vanishes may skip the phase test
             M[2, 0] = 1.2e-7 * np.exp(1j * rng.uniform(0, 2 * np.pi))
         mats.append(M)
-    mats = np.stack(mats)
-    labels = orbit3._torus_clusters(mats)
-    assert labels.tolist() == greedy_clusters(mats)
-    assert 4 <= labels.max() + 1 < len(mats)
-    for B in mats[:20]:
-        for C in mats[:20]:
+    for B in mats:
+        for C in mats:
             assert torus_equivalent(B, C) == torus_equivalent_scalar(B, C)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_flag_clusters_match_the_planted_flags(n):
+    rng = np.random.default_rng(40 + n)
+    founders = list(haar_unitaries(rng, 3, n))
+    # the same lines as founder 0 in another order: a different flag
+    founders.append(founders[0][:, np.roll(np.arange(n), 1)])
+    planted, unitaries = [], []
+    for _ in range(80):
+        j = int(rng.integers(len(founders)))
+        D = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)))
+        U = founders[j] @ D
+        if rng.random() < 0.5:
+            U = U + 1e-9 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        planted.append(j)
+        unitaries.append(U)
+    labels = orbit3._flag_clusters(np.stack(unitaries))
+    # clusters are numbered in order of appearance
+    order = list(dict.fromkeys(planted))
+    assert len(order) == len(founders)
+    assert labels.tolist() == [order.index(j) for j in planted]
 
 
 def test_count_flags_with_no_converged_restart(monkeypatch):
@@ -602,11 +612,11 @@ def test_numeric_reduce_matches_the_restart_loop(case, block, monkeypatch):
     else:
         n, I = 4, EXCEPTIONAL_4[2]
     A = random_traceless(rng, n)
-    sol = numeric_reduce(A, I, n, restarts=100, seed=5)
+    sol = count_reductions(A, I, restarts=100, seed=5).solutions[0]
     starts = np.random.default_rng(5)
     for _ in range(100):
         want, _ = gauss_newton_one_start(
-            A, haar_unitary(starts, n), list(I), max_iter=80
+            A, haar_unitary(starts, n), list(I), max_iter=60
         )
         if want.residual <= 1e-18:
             break
@@ -806,4 +816,4 @@ def test_count_flags_calls_neither_eigh_nor_svd(monkeypatch):
     assert res.num_flags in (6, 18) and res.generic
     # the patch is live: the reducer at n = 4 still needs eigh
     with pytest.raises(AssertionError, match="LAPACK"):
-        numeric_reduce(random_traceless(np.random.default_rng(62), 4), EXCEPTIONAL_4[2], 4, restarts=5)
+        count_reductions(random_traceless(np.random.default_rng(62), 4), EXCEPTIONAL_4[2], restarts=5)
