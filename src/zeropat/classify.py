@@ -13,15 +13,13 @@ cached per n, built once from the group's gather table, carry a mask's
 occupancy bits b to its whole orbit: b @ P lists the 2 n! image masks and
 b @ W the flip code of each image, its pair-multiplicity code.  The
 canonical form of a pattern is its minimum image and its flip key the
-minimum of b @ W, both from the pattern alone.  The census lists the sorted
-masks of all strict patterns by array arithmetic, joining every subset of
-the low half of the off-diagonal cells with every subset of the high half
-of the complementary size, and walks them: the first unvisited mask is the
-minimum of its orbit, hence the class representative.  Its images are
-marked visited at their colex ranks, two lookups in tables cached per n
-with no search of the sorted masks, and the orbit size is 2 n! over the
-number of images equal to the representative, its stabilizer.  Output is
-reproducible bit for bit.
+minimum of b @ W, both from the pattern alone.  The census walks the strict
+masks in increasing order, which is the colex order of their off-diagonal
+cells, unranked chunk by chunk: the first unvisited mask is the minimum of
+its orbit, hence the class representative.  Its images are marked visited
+at their colex ranks, two lookups in tables cached per n, and the orbit
+size is 2 n! over the number of images equal to the representative, its
+stabilizer.  Output is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -113,9 +111,11 @@ def _require_enum_budget(n: int, what: str, hint: str = "") -> None:
 
 def enumerate_strict(n: int):
     """Every strict pattern of size mu(n) in the n x n grid, once each, in
-    increasing mask order: a view over ``_strict_masks``."""
+    increasing mask order: the colex ranks unranked chunk by chunk."""
     _require_enum_budget(n, "full enumeration")
-    return (Pattern.from_mask(int(m), n) for m in _strict_masks(n))
+    starts = range(0, strict_count(n), _WALK_CHUNK)
+    chunks = (np.arange(k, min(k + _WALK_CHUNK, starts.stop)) for k in starts)
+    return (Pattern.from_mask(m, n) for c in chunks for m in _unrank(c, n).tolist())
 
 
 def strict_count(n: int) -> int:
@@ -125,12 +125,14 @@ def strict_count(n: int) -> int:
 
 # -- the orbit engine ------------------------------------------------------------
 
-#: strict masks per visited-scan chunk of the census walk; the n = 5 walk
-#: time is flat for chunks from 256 to 16,384 masks, and about a third
-#: longer at 64 or 65,536, where more unvisited entries are rechecked
+#: colex ranks per chunk of the census walk; the n = 5 walk takes 17 ms at
+#: 4096, 20-29 ms from 2048 to 16,384, 44 ms at 65,536, where more unvisited
+#: entries are rechecked, and 67 ms at 256, where unranking costs per chunk
 _WALK_CHUNK = 4096
 #: class representatives per flip-key product of the census (0.5 MB at n = 5)
 _KEY_CHUNK = 256
+#: the shift of each cell of a mask, and the bit a shift moves
+_SHIFTS, _ONE = np.arange(MAX_MASK_N**2, dtype=np.uint64), np.uint64(1)
 
 
 def _group_table(n: int) -> np.ndarray:
@@ -149,8 +151,7 @@ def _group_table(n: int) -> np.ndarray:
 
 def _cell_bits(masks, n: int) -> np.ndarray:
     """Occupancy bits of masks, cell c at index c of a new last axis."""
-    cells = np.arange(n * n, dtype=np.uint64)
-    return (np.asarray(masks, dtype=np.uint64)[..., None] >> cells) & np.uint64(1)
+    return (np.asarray(masks, dtype=np.uint64)[..., None] >> _SHIFTS[:n * n]) & _ONE
 
 
 def _weak_weights(n: int) -> np.ndarray:
@@ -202,45 +203,34 @@ def _weak_code(masks, n: int) -> np.ndarray:
     return (_cell_bits(masks, n) @ W).min(axis=-1)
 
 
-def _strict_masks(n: int) -> np.ndarray:
-    """Sorted occupancy masks of all strict size-mu(n) patterns.  The 2 mu(n)
-    off-diagonal cells split into a low and a high half; every mask joins a
-    subset of one half with a subset of the other, the two sizes summing to
-    mu(n)."""
-    cells = np.array(
-        [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)], dtype=np.uint64
+@functools.cache
+def _colex(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The colex numbering of strict masks, cached and read-only: the grid
+    bit of each off-diagonal cell in index order, and binom[t, c] = C(c, t)
+    for t <= mu(n) and c < 2 mu(n).  A strict mask has mu(n) bits, all
+    off-diagonal, so masks order as the colex order of their off-diagonal
+    cell indices c_1 < ... < c_mu, and the rank of a mask in that order is
+    sum_t C(c_t, t), the combinatorial number system (Knuth, TAOCP 7.2.1.3)."""
+    m = mu(n)
+    cells = np.array([(i - 1) * n + j - 1 for i, j in offdiag_cells(n)], np.uint64)
+    binom = np.array(
+        [[math.comb(c, t) for c in range(2 * m)] for t in range(m + 1)], dtype=np.int64
     )
-    halves = []
-    for half in (cells[: mu(n)], cells[mu(n):]):
-        spread = np.zeros(1, dtype=np.uint64)
-        size = np.zeros(1, dtype=np.intp)
-        for c in half:
-            spread = np.concatenate([spread, spread | (np.uint64(1) << c)])
-            size = np.concatenate([size, size + 1])
-        halves.append((spread, size))
-    (low, low_size), (high, high_size) = halves
-    masks = np.concatenate([
-        (high[high_size == mu(n) - k, None] | low[low_size == k]).ravel()
-        for k in range(mu(n) + 1)
-    ])
-    masks.sort()
-    return masks
+    cells.flags.writeable = binom.flags.writeable = False
+    return cells, binom
 
 
 @functools.cache
 def _rank_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Tables of the colex rank of strict masks for n <= 6, cached and
-    read-only.
+    """Tables of the colex rank (``_colex``) of strict masks for n <= 6,
+    cached and read-only.
 
-    A strict mask has mu(n) bits, all off-diagonal, so masks order as the
-    colex order of their off-diagonal cell indices c_1 < ... < c_mu, and the
-    index of a mask in ``_strict_masks`` is sum_t C(c_t, t), the
-    combinatorial number system (Knuth, TAOCP 7.2.1.3).  The grid bits below
-    the last cell, a diagonal one, split into a low and a high half, each
-    with a table of the terms of its own cells, indexed by its bits: the low
-    half counts t from 1; the high half counts it from mu(n) less its own
-    set bits, since every other bit of the mask lies below it.  Entries that
-    no strict mask reaches hold meaningless values.
+    The grid bits below the last cell, a diagonal one, split into a low and
+    a high half, each with a table of the terms C(c_t, t) of its own cells,
+    indexed by its bits: the low half counts t from 1; the high half counts
+    it from mu(n) less its own set bits, since every other bit of the mask
+    lies below it.  Entries that no strict mask reaches hold meaningless
+    values.
 
     Returns the first bit of the high half and the low and the high table,
     which take 3 MB at n = 6.  ValueError for n > 6, where two halves would
@@ -248,10 +238,8 @@ def _rank_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     if n > 6:
         raise ValueError(f"colex rank tables are budgeted for n <= 6, got {n}")
     m = mu(n)
-    index = {(i - 1) * n + (j - 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
-    binom = np.array(
-        [[math.comb(k, t) for t in range(m + 1)] for k in range(2 * m)], dtype=np.int64
-    )
+    cells, binom = _colex(n)
+    index = {c: k for k, c in enumerate(cells.tolist())}
     shift = (n * n - 1) // 2
     tables = []
     for top in (False, True):
@@ -259,12 +247,11 @@ def _rank_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
         # new bit the most significant index bit, the high half adds them
         # downward, the new bit the least significant one
         axis = -1 if top else 0
-        terms = np.zeros(1, dtype=np.int64)
-        size = np.zeros(1, dtype=np.int64)
+        terms = size = np.zeros(1, dtype=np.int64)
         for c in range(n * n - 2, shift - 1, -1) if top else range(shift):
             k = index.get(c)
-            add = 0 if k is None else binom[k, np.clip(
-                m - size if top else size + 1, 0, m)]
+            add = 0 if k is None else binom[np.clip(
+                m - size if top else size + 1, 0, m), k]
             terms = np.stack([terms, terms + add], axis).ravel()
             size = np.stack([size, size + (k is not None)], axis).ravel()
         terms.flags.writeable = False
@@ -273,35 +260,47 @@ def _rank_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _rank(masks, n: int) -> np.ndarray:
-    """Index of each strict mask in ``_strict_masks(n)``, from the two cached
-    colex tables of ``_rank_tables``, so n <= 6.  Strict masks leave the last
-    cell, a diagonal one, empty, so they are nonnegative as int64, the index
-    type of the gathers."""
+    """Colex rank of each strict mask (``_colex``), from the two cached
+    tables of ``_rank_tables``, so n <= 6; ``_unrank`` inverts it.  Strict
+    masks leave the last cell, a diagonal one, empty, so they are
+    nonnegative as int64, the index type of the gathers."""
     shift, low, high = _rank_tables(n)
     m = np.asarray(masks, dtype=np.uint64).view(np.int64)
     return low[m & (low.size - 1)] + high[m >> shift]
 
 
+def _unrank(ranks, n: int) -> np.ndarray:
+    """The strict masks of the given colex ranks (``_colex``), as uint64:
+    from t = mu(n) down to 1, the t-th cell index is the largest c with
+    C(c, t) at most what remains of the rank."""
+    cells, binom = _colex(n)
+    rest = np.array(ranks, dtype=np.int64)
+    masks = np.zeros(rest.shape, dtype=np.uint64)
+    for t in range(mu(n), 0, -1):
+        c = np.searchsorted(binom[t], rest, side="right") - 1
+        rest -= binom[t, c]
+        masks |= _ONE << cells[c]
+    return masks
+
+
 def _class_walk(n: int):
     """Yield (canonical mask, orbit size) for every class of strict
-    size-mu(n) patterns in increasing canonical mask.  The first unvisited
-    strict mask is the minimum of its orbit; its images are marked visited
-    at their colex ranks, and its orbit size is 2 n! over the number of
-    images equal to it, its stabilizer.  Each chunk of the sorted masks
-    lists its unvisited ones at once, and each is checked again before use,
-    since an orbit met earlier in the chunk may cover it."""
-    masks = _strict_masks(n)
+    size-mu(n) patterns in increasing canonical mask.  The walk runs over
+    the colex ranks; the first unvisited mask is the minimum of its orbit,
+    its images are marked visited at their ranks, and its orbit size is
+    2 n! over the number of images equal to it, its stabilizer.  Each chunk
+    of ranks unranks its unvisited ones at once, each checked again before
+    use, since an orbit met earlier in the chunk may cover it."""
     order = 2 * math.factorial(n)
-    visited = np.zeros(masks.size, dtype=bool)
-    for start in range(0, masks.size, _WALK_CHUNK):
+    visited = np.zeros(strict_count(n), dtype=bool)
+    for start in range(0, visited.size, _WALK_CHUNK):
         fresh = start + np.flatnonzero(~visited[start:start + _WALK_CHUNK])
-        for k in fresh.tolist():
+        for k, mask in zip(fresh.tolist(), _unrank(fresh, n).tolist()):
             if visited[k]:
                 continue
-            mask = masks[k]
             images = _orbit_images(mask, n)
             visited[_rank(images, n)] = True
-            yield int(mask), order // int(np.count_nonzero(images == mask))
+            yield mask, order // int(np.count_nonzero(images == mask))
 
 
 def canonical_form(I: Pattern, n: int) -> Pattern:

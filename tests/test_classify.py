@@ -89,8 +89,8 @@ def weak_canonical_form_by_permutation_loop(I, n):
 
 
 def strict_masks_by_combinations(n):
-    """Oracle for _strict_masks: the sorted masks of every mu(n)-subset of
-    the off-diagonal cells, listed by itertools.combinations."""
+    """Oracle for _unrank: the sorted masks of every mu(n)-subset of the
+    off-diagonal cells, listed by itertools.combinations."""
     cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
     flat = itertools.chain.from_iterable(itertools.combinations(cells, mu(n)))
     combos = np.fromiter(flat, dtype=np.uint64).reshape(-1, mu(n))
@@ -216,10 +216,10 @@ def test_enumeration_counts():
 ], ids=["enumerate_strict", "classify_all", "scan_extremal"])
 @pytest.mark.parametrize("n", [1, 6])
 def test_enumeration_budget_is_checked_before_any_work(monkeypatch, entry, message, n):
-    def no_work(n):
+    def no_work(ranks, n):
         raise AssertionError("the strict masks were built")
 
-    monkeypatch.setattr(classify, "_strict_masks", no_work)
+    monkeypatch.setattr(classify, "_unrank", no_work)
     with pytest.raises(ValueError) as exc:
         entry(n)
     assert str(exc.value) == message.format(n=n)
@@ -227,7 +227,7 @@ def test_enumeration_budget_is_checked_before_any_work(monkeypatch, entry, messa
 
 def test_strict_masks_match_the_combinations():
     for n in (2, 3, 4, 5):
-        masks = classify._strict_masks(n)
+        masks = classify._unrank(np.arange(strict_count(n)), n)
         assert masks.dtype == np.uint64
         assert np.array_equal(masks, strict_masks_by_combinations(n))
 
@@ -249,16 +249,15 @@ def test_image_matrices_match_the_gather_table():
 
 def test_rank_of_the_strict_masks_is_their_index():
     for n in (2, 3, 4, 5):
-        ranks = classify._rank(classify._strict_masks(n), n)
+        masks = classify._unrank(np.arange(strict_count(n)), n)
+        ranks = classify._rank(masks, n)
         assert np.array_equal(ranks, np.arange(strict_count(n)))
+        # enumerate_strict lists the patterns in the same order
+        assert [I.mask(n) for I in enumerate_strict(n)] == masks.tolist()
 
 
 @pytest.mark.parametrize("n", [6])
-def test_rank_matches_the_colex_sum(monkeypatch, n):
-    def no_masks(n):
-        raise AssertionError("the strict masks were built")
-
-    monkeypatch.setattr(classify, "_strict_masks", no_masks)
+def test_rank_matches_the_colex_sum(n):
     rng = random.Random(n)
     cells = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
     # the first and the last strict mask, then seeded random ones
@@ -267,6 +266,12 @@ def test_rank_matches_the_colex_sum(monkeypatch, n):
     ranks = classify._rank(masks, n)
     assert ranks.tolist() == [colex_rank_by_comb(m, n) for m in masks]
     assert ranks[0] == 0 and ranks[1] == strict_count(n) - 1
+    # the two end ranks and seeded random ones round-trip through _unrank
+    ranks = [0, strict_count(n) - 1]
+    ranks += [rng.randrange(strict_count(n)) for _ in range(200)]
+    masks = classify._unrank(ranks, n).tolist()
+    assert classify._rank(masks, n).tolist() == ranks
+    assert [colex_rank_by_comb(m, n) for m in masks] == ranks
 
 
 def test_rank_tables_at_n6_are_two_within_4_mb():
