@@ -9,17 +9,18 @@ stabilizer dimension.
 
 One orbit engine serves every consumer.  A pattern is its occupancy mask
 over the n x n grid (``Pattern.mask``, 64-bit, so n <= 8), and two matrices
-cached per n, built once from the group's gather table, carry a mask's
-occupancy bits b to its whole orbit: b @ P lists the 2 n! image masks and
-b @ W the flip code of each image, its pair-multiplicity code.  The
-canonical form of a pattern is its minimum image and its flip key the
-minimum of b @ W, both from the pattern alone.  The census walks the strict
-masks in increasing order, which is the colex order of their off-diagonal
-cells, unranked chunk by chunk: the first unvisited mask is the minimum of
-its orbit, hence the class representative.  Its images are marked visited
-at their colex ranks, two lookups in tables cached per n, and the orbit
-size is 2 n! over the number of images equal to the representative, its
-stabilizer.  Output is reproducible bit for bit.
+per n, built from the group's gather table and cached in float64 for exact
+BLAS products, carry a mask's occupancy bits b to its whole orbit: b @ P
+lists the 2 n! image masks and b @ W the flip code of each image, its
+pair-multiplicity code.  The canonical form of a pattern is its minimum
+image and its flip key the minimum of b @ W, both from the pattern alone.
+The census walks the strict masks in increasing order, which is the colex
+order of their off-diagonal cells, unranked a slice of unvisited ranks at
+a time: a mask is its class representative when it equals its minimum
+image.  Only representatives' images are marked visited, at their colex
+ranks, two lookups in tables cached per n, and the orbit size is 2 n! over
+the number of images equal to the representative, its stabilizer.  Output
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -125,14 +126,13 @@ def strict_count(n: int) -> int:
 
 # -- the orbit engine ------------------------------------------------------------
 
-#: colex ranks per chunk of the census walk; the n = 5 walk takes 17 ms at
-#: 4096, 20-29 ms from 2048 to 16,384, 44 ms at 65,536, where more unvisited
-#: entries are rechecked, and 67 ms at 256, where unranking costs per chunk
-_WALK_CHUNK = 4096
-#: class representatives per flip-key product of the census (0.5 MB at n = 5)
-_KEY_CHUNK = 256
-#: the shift of each cell of a mask, and the bit a shift moves
-_SHIFTS, _ONE = np.arange(MAX_MASK_N**2, dtype=np.uint64), np.uint64(1)
+#: colex ranks per chunk of the census walk, and still unvisited ranks per
+#: slice of a chunk, unranked and imaged in one product.  The n = 5 walk
+#: takes 5 ms at 4096 and 8192, 6-7 ms at 512 and 65,536; slices of 64 keep
+#: its transients to 0.44 MB, and 48 to 128 take 5-7 ms, 32 about 10 ms
+_WALK_CHUNK, _WALK_SLICE = 4096, 64
+#: class representatives per flip-key product of the census (0.27 MB at n = 5)
+_KEY_CHUNK = 128
 
 
 def _group_table(n: int) -> np.ndarray:
@@ -150,8 +150,9 @@ def _group_table(n: int) -> np.ndarray:
 
 
 def _cell_bits(masks, n: int) -> np.ndarray:
-    """Occupancy bits of masks, cell c at index c of a new last axis."""
-    return (np.asarray(masks, dtype=np.uint64)[..., None] >> _SHIFTS[:n * n]) & _ONE
+    """Occupancy bits of masks as uint8, cell c at index c of a new last axis."""
+    masks = np.asarray(masks, dtype="<u8")[..., None].view(np.uint8)
+    return np.unpackbits(masks, axis=-1, bitorder="little")[..., :n * n]
 
 
 def _weak_weights(n: int) -> np.ndarray:
@@ -168,39 +169,58 @@ def _weak_weights(n: int) -> np.ndarray:
     return (weights + weights.T).ravel()
 
 
-@functools.cache
 def _image_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Image-power matrix P and image-weight matrix W of G on the n x n
-    grid, n^2 rows by 2 n! columns each, cached and read-only.  For the
-    occupancy bits b of a mask, b @ P holds its image masks and b @ W the
-    weak codes of those images, one column per group element.  The image
-    under row g of ``_group_table`` moves cell table[g, c] to cell c, so
-    column g has the power 2^c and the weight of cell c in row table[g, c].
-    Needs n <= 8."""
+    grid, n^2 rows by 2 n! columns each, exact in uint64; the products use
+    their cached float form, ``_float_images``.  For the occupancy bits b
+    of a mask, b @ P holds its image masks and b @ W the weak codes of those
+    images, one column per group element.  The image under row g of
+    ``_group_table`` moves cell table[g, c] to cell c, so column g has the
+    power 2^c and the weight of cell c in row table[g, c].  Needs n <= 8."""
     table = _group_table(n)
     column = np.arange(len(table))[:, None]
     P = np.zeros((n * n, len(table)), dtype=np.uint64)
     W = np.zeros_like(P)
     P[table, column] = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
     W[table, column] = _weak_weights(n)
-    P.flags.writeable = W.flags.writeable = False
     return P, W
 
 
-def _orbit_images(mask: int, n: int) -> np.ndarray:
-    """The 2 n! image masks of one occupancy mask under relabeling and
+@functools.cache
+def _float_images(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_image_matrices`` in float64 for BLAS products, cached and
+    read-only.  Products with occupancy bits are exact while their sums stay
+    below 2^53: weak codes stay below 3^28 for n <= 8 and masks below 2^49
+    for n <= 7; at n = 8 P is split into the low and the high 32 bits."""
+    P, W = _image_matrices(n)
+    width = n * n if n * n <= 53 else 32
+    starts = range(0, n * n, width)
+    Pf = np.empty((n * n, len(starts), P.shape[1]))
+    for k, s in enumerate(starts):
+        Pf[:, k] = P >> np.uint64(s) & np.uint64(2**width - 1)
+    Pf, Wf = Pf.reshape(n * n, -1), W.astype(np.float64)
+    Pf.flags.writeable = Wf.flags.writeable = False
+    return Pf, Wf
+
+
+def _orbit_images(masks, n: int) -> np.ndarray:
+    """The 2 n! image masks of each occupancy mask under relabeling and
     transposition, one per group element, repeated where the stabilizer is
-    nontrivial.  Needs n <= 8."""
-    P, _ = _image_matrices(n)
-    return _cell_bits(mask, n) @ P
+    nontrivial, as uint64 on a new last axis.  Needs n <= 8."""
+    Pf, _ = _float_images(n)
+    images = (_cell_bits(masks, n) @ Pf).astype(np.uint64)
+    order = 2 * math.factorial(n)
+    if images.shape[-1] > order:  # n = 8: the low and the high 32 bits
+        images = images[..., :order] | images[..., order:] << np.uint64(32)
+    return images
 
 
 def _weak_code(masks, n: int) -> np.ndarray:
     """Flip key of the class of each occupancy mask: the minimum weak code
-    (see ``_weak_weights``) over its images, in an array shaped like
-    ``masks``.  Needs n <= 8."""
-    _, W = _image_matrices(n)
-    return (_cell_bits(masks, n) @ W).min(axis=-1)
+    (see ``_weak_weights``) over its images, as uint64 in an array shaped
+    like ``masks``.  Needs n <= 8."""
+    _, Wf = _float_images(n)
+    return (_cell_bits(masks, n) @ Wf).min(axis=-1).astype(np.uint64)
 
 
 @functools.cache
@@ -279,28 +299,33 @@ def _unrank(ranks, n: int) -> np.ndarray:
     for t in range(mu(n), 0, -1):
         c = np.searchsorted(binom[t], rest, side="right") - 1
         rest -= binom[t, c]
-        masks |= _ONE << cells[c]
+        masks |= np.uint64(1) << cells[c]
     return masks
 
 
 def _class_walk(n: int):
     """Yield (canonical mask, orbit size) for every class of strict
     size-mu(n) patterns in increasing canonical mask.  The walk runs over
-    the colex ranks; the first unvisited mask is the minimum of its orbit,
-    its images are marked visited at their ranks, and its orbit size is
-    2 n! over the number of images equal to it, its stabilizer.  Each chunk
-    of ranks unranks its unvisited ones at once, each checked again before
-    use, since an orbit met earlier in the chunk may cover it."""
+    the colex ranks, in increasing mask order, a chunk's unvisited ranks a
+    slice at a time, unranked and imaged in one product.  An unvisited mask
+    is the minimum of its orbit, the representative, exactly when it equals
+    the least of its images; only those images are marked visited, at their
+    ranks, before the next slice, and the orbit size is 2 n! over the number
+    of images equal to the representative, its stabilizer."""
     order = 2 * math.factorial(n)
     visited = np.zeros(strict_count(n), dtype=bool)
     for start in range(0, visited.size, _WALK_CHUNK):
         fresh = start + np.flatnonzero(~visited[start:start + _WALK_CHUNK])
-        for k, mask in zip(fresh.tolist(), _unrank(fresh, n).tolist()):
-            if visited[k]:
-                continue
-            images = _orbit_images(mask, n)
+        while fresh.size:
+            masks = _unrank(fresh[:_WALK_SLICE], n)
+            images = _orbit_images(masks, n)
+            reps = masks == images.min(axis=-1)
+            masks, images = masks[reps], images[reps]
             visited[_rank(images, n)] = True
-            yield mask, order // int(np.count_nonzero(images == mask))
+            sizes = order // np.count_nonzero(images == masks[:, None], axis=-1)
+            yield from zip(masks.tolist(), sizes.tolist())
+            fresh = fresh[_WALK_SLICE:]
+            fresh = fresh[~visited[fresh]]
 
 
 def canonical_form(I: Pattern, n: int) -> Pattern:
@@ -328,7 +353,6 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
     log(f"walking the orbits of {total} strict patterns for n={n}, then pairing, "
         "stabilizer dimension (pinned-entry count) and flip key of each class")
     records = []
-    weak_keys = set()
     covered = 0
     tally = {STATUS_NONSINGULAR: 0, STATUS_DEFECTIVE: 0, STATUS_EXCEPTIONAL: 0}
     walk = list(_class_walk(n))
@@ -336,28 +360,13 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         rep = Pattern.from_mask(rep_mask, n)
         pairing = pair_with_vandermonde(rep, n)
         sd = stabilizer_dim(rep, n)
-        if pairing != 0:
-            status = STATUS_NONSINGULAR
-            if sd > n:
-                raise AssertionError(
-                    f"nonsingular class with stabilizer dimension {sd} > {n}"
-                )
-        elif sd > n:
-            status = STATUS_DEFECTIVE
-        else:
-            status = STATUS_EXCEPTIONAL
+        if pairing != 0 and sd > n:
+            raise AssertionError(f"nonsingular class with stabilizer dimension {sd} > {n}")
+        status = (STATUS_NONSINGULAR if pairing != 0
+                  else STATUS_DEFECTIVE if sd > n else STATUS_EXCEPTIONAL)
         tally[status] += 1
         covered += orbit_size
-        records.append(
-            ClassRecord(
-                canonical=rep,
-                orbit_size=orbit_size,
-                pairing=pairing,
-                stab_dim=sd,
-                complexity=rep.complexity(),
-                status=status,
-            )
-        )
+        records.append(ClassRecord(rep, orbit_size, pairing, sd, rep.complexity(), status))
         if len(records) % 100 == 0:
             log(f"  classified {len(records)} classes, {covered}/{total} patterns")
 
@@ -365,16 +374,12 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         raise AssertionError(
             f"the class orbits cover {covered} of the {total} strict patterns"
         )
+    weak_keys = set()
     for k in range(0, len(walk), _KEY_CHUNK):
         weak_keys.update(_weak_code([m for m, _ in walk[k:k + _KEY_CHUNK]], n).tolist())
     census = ClassCensus(
-        n=n,
-        total_patterns=total,
-        num_classes=len(records),
-        num_nonsingular=tally[STATUS_NONSINGULAR],
-        num_defective=tally[STATUS_DEFECTIVE],
-        num_exceptional=tally[STATUS_EXCEPTIONAL],
-        num_weak_classes=len(weak_keys),
+        n, total, len(records), tally[STATUS_NONSINGULAR], tally[STATUS_DEFECTIVE],
+        tally[STATUS_EXCEPTIONAL], len(weak_keys),
     )
     return census, records
 

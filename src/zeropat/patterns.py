@@ -30,7 +30,7 @@ def mu(n: int) -> int:
 class Pattern:
     """An immutable finite set of 1-based matrix positions."""
 
-    __slots__ = ("_positions",)
+    __slots__ = ("_positions", "_sorted")
 
     def __init__(self, positions: Iterable[Sequence[int]] = ()):
         pos = set()
@@ -42,13 +42,14 @@ class Pattern:
                 raise ValueError(f"position indices are 1-based, got {p!r}")
             pos.add((i, j))
         self._positions = frozenset(pos)
+        self._sorted = tuple(sorted(pos))
 
     @property
     def positions(self) -> tuple[Position, ...]:
-        return tuple(sorted(self._positions))
+        return self._sorted
 
     def __iter__(self):
-        return iter(sorted(self._positions))
+        return iter(self._sorted)
 
     def __len__(self) -> int:
         return len(self._positions)
@@ -142,7 +143,8 @@ class Pattern:
         """The pattern whose occupancy bitmask over the n x n grid is the
         Python int ``mask``, the inverse of ``mask(n)``.  Only the set bits
         are visited, and their positions are valid by construction, so the
-        checks of ``Pattern(...)`` are skipped."""
+        checks of ``Pattern(...)`` are skipped; the bits come lowest first,
+        which is the sorted order of the positions."""
         pos = []
         while mask:
             low = mask & -mask
@@ -150,7 +152,7 @@ class Pattern:
             pos.append((i + 1, j + 1))
             mask ^= low
         I = Pattern.__new__(Pattern)
-        I._positions = frozenset(pos)
+        I._positions, I._sorted = frozenset(pos), tuple(pos)
         return I
 
     def to_json(self) -> list[list[int]]:

@@ -294,13 +294,18 @@ _PAIR_CHUNK = 1 << 12
 
 
 @functools.cache
-def _pair_constants(n: int) -> tuple[int, tuple[int, ...]]:
-    """The pairing's group size and, per prime, the CRT weight: 0 modulo the
-    other primes, and modulo this one the inverse of prod_{i<j} (i - j)."""
-    g = max(k for k in range(1, max(mu(n), 1) + 1) if (n - 1) ** k < 2**31)
+def _pair_constants(n: int) -> tuple[int, bool, int, np.ndarray, tuple[int, ...]]:
+    """The pairing's divisor prod_{i<j} (i - j); whether its signed sum is
+    exact in int64, n! (n-1)^mu(n) < 2^63 (so n <= 6); and for the residue
+    path the group size, the primes as a column and, per prime, the CRT
+    weight: 0 modulo the other primes, and modulo this one the inverse of
+    the divisor."""
     scale = math.prod(i - j for i in range(n) for j in range(i + 1, n))
+    exact = math.factorial(n) * (n - 1) ** mu(n) < 2**63
+    g = max(k for k in range(1, max(mu(n), 1) + 1) if (n - 1) ** k < 2**31)
     m = math.prod(_PRIMES)
-    return g, tuple(m // p * pow(scale * (m // p), -1, p) for p in _PRIMES)
+    weights = tuple(m // p * pow(scale * (m // p), -1, p) for p in _PRIMES)
+    return scale, exact, g, np.array(_PRIMES, dtype=np.int64)[:, None], weights
 
 
 def pair_with_vandermonde(I: Pattern, n: int) -> int:
@@ -310,22 +315,26 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
     evaluated at (0, 1, ..., n-1) give
 
         pairing = sum_sigma sgn(sigma) prod_{(i,j) in I} (sigma(i) - sigma(j))
-                  / prod_{i<j} (i - j),
+                  / prod_{i<j} (i - j).
 
-    summed over the permutation table modulo two primes and recombined by the
-    Chinese remainder theorem.  The factors are multiplied g at a time, g the
-    largest with (n-1)^g < 2^31 (all of them for n <= 5): a group's product
-    is exact in int64, and so is its product with a residue.  A pattern
-    whose size differs from mu(n) pairs to zero by homogeneity.
+    For n <= 6 each product is below (n-1)^mu(n) and the sum below n! times
+    that, under 2^63, so the sum is taken exactly in int64 and divided.  For
+    n >= 7 it is summed over the permutation table modulo two primes and
+    recombined by the Chinese remainder theorem; the factors are multiplied
+    g at a time, g the largest with (n-1)^g < 2^31, so a group's product is
+    exact in int64, and so is its product with a residue.  A pattern whose
+    size differs from mu(n) pairs to zero by homogeneity.
     """
     _check_strict(I, n)
     require_pair_budget(n)
     if len(I) != mu(n):
         return 0
     perms, signs = permutation_table(n)
-    g, weights = _pair_constants(n)
+    scale, exact, g, primes, weights = _pair_constants(n)
     ends = [i - 1 for i, _ in I] + [j - 1 for _, j in I]
-    primes = np.array(_PRIMES, dtype=np.int64)[:, None]
+    if exact:
+        diffs = perms[:, ends[:mu(n)]] - perms[:, ends[mu(n):]]
+        return int(diffs.prod(axis=1, dtype=np.int64) @ signs) // scale
     sums = np.zeros(len(_PRIMES), dtype=np.int64)  # |sums| < n! 2^31 < 2^63
     for start in range(0, len(signs), _PAIR_CHUNK):
         block = perms[start:start + _PAIR_CHUNK, ends]

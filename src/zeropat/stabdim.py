@@ -173,9 +173,13 @@ def stabilizer_dim(I: Pattern, n: int) -> int:
         pins[j] |= free_rows[i]
         if free_diag & (free_diag - 1) and free_diag & (1 << i | 1 << j):
             pins[i] |= 1 << j
-    return n + 2 * sum(
-        not (pins[p] >> q | pins[q] >> p) & 1 for p in range(n) for q in range(p + 1, n)
-    )
+    free = 0
+    for p in range(n):
+        rest = ~pins[p] & (1 << n) - (2 << p)  # q > p with X_pq not pinned from p
+        while rest:
+            free += not pins[(rest & -rest).bit_length() - 1] >> p & 1
+            rest &= rest - 1
+    return n + 2 * free
 
 
 def is_defective(I: Pattern, n: int) -> bool:

@@ -53,6 +53,14 @@ def census5():
     return classify_all(5)
 
 
+@pytest.fixture
+def drop_float_images():
+    """Clear the cached float image matrices after the test, 123 MB at
+    n = 8."""
+    yield
+    classify._float_images.cache_clear()
+
+
 # -- oracles: per-pattern loops over the group, independent of the orbit engine
 
 
@@ -242,9 +250,10 @@ def test_image_matrices_match_the_gather_table():
             images = orbit_images_by_gather(m, n)
             assert np.array_equal(classify._cell_bits(m, n) @ P, images)
             # the flip code of the mask alone is the least weak code over its
-            # gathered orbit
+            # gathered orbit; test_float_image_products_are_exact checks the
+            # products that _weak_code takes
             weak = classify._cell_bits(images, n) @ classify._weak_weights(n)
-            assert classify._weak_code(m, n) == int(weak.min())
+            assert (classify._cell_bits(m, n) @ W).min() == weak.min()
 
 
 def test_rank_of_the_strict_masks_is_their_index():
@@ -289,6 +298,55 @@ def test_class_walk_matches_the_entry_loop(monkeypatch):
     # be walked again from a later entry of the same chunk
     monkeypatch.setattr(classify, "_WALK_CHUNK", 7)
     assert list(classify._class_walk(4)) == class_walk_by_entry_loop(4)
+    monkeypatch.undo()
+    # one rank a slice, each a representative or visited before it is
+    # imaged; or every rank of the n = 4 chunk in one slice, whose other
+    # orbit members must fail the representative test
+    for size in (1, classify._WALK_CHUNK + 1):
+        monkeypatch.setattr(classify, "_WALK_SLICE", size)
+        assert list(classify._class_walk(4)) == class_walk_by_entry_loop(4)
+
+
+def test_class_walk_prefix_at_n6():
+    walk = list(itertools.islice(classify._class_walk(6), 2000))
+    masks = [m for m, _ in walk]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    for mask, size in walk:
+        assert canonical_form(Pattern.from_mask(mask, 6), 6).mask(6) == mask
+        assert size == np.unique(orbit_images_by_gather(mask, 6)).size
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_float_image_products_are_exact(n, drop_float_images):
+    # every n x n mask is below 2^(n^2); at n = 8 the all-ones mask and a
+    # mask of bits 53 and up have images no single float64 product holds
+    rng = random.Random(n)
+    top = (1 << n * n) - 1
+    masks = [0, top, top >> 53 << 53 if n == 8 else top >> n << n]
+    masks += [rng.getrandbits(n * n) for _ in range(2 if n == 8 else 6)]
+    images = np.stack([orbit_images_by_gather(m, n) for m in masks])
+    assert np.array_equal(classify._orbit_images(masks, n), images)
+    codes = classify._weak_code(masks, n)
+    for m, row, code in zip(masks, images, codes.tolist()):
+        assert np.array_equal(classify._orbit_images(m, n), row)
+        weak = classify._cell_bits(row, n) @ classify._weak_weights(n)
+        assert classify._weak_code(m, n) == code == weak.min()
+    # the largest weak code, every pair doubled: 3^mu(n) - 1, 3^28 - 1 at n = 8
+    assert int(classify._weak_code(top, n)) == 3 ** mu(n) - 1
+
+
+def test_census_makes_one_pairing_and_one_stabilizer_call_per_class(monkeypatch):
+    # bench/test_bench.py::test_layer_spans_land_where_the_workload_runs
+    # counts these calls, looked up in classify's namespace; batching them
+    # (ROADMAP item 11) waits for item 8's trace hook
+    calls = {"pair_with_vandermonde": 0, "stabilizer_dim": 0}
+    for name in calls:
+        def counted(I, n, f=getattr(classify, name), name=name):
+            calls[name] += 1
+            return f(I, n)
+        monkeypatch.setattr(classify, name, counted)
+    classify_all(4)
+    assert calls == {"pair_with_vandermonde": 30, "stabilizer_dim": 30}
 
 
 def test_census_checks_that_the_orbits_cover_every_pattern(monkeypatch):

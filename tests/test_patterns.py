@@ -314,3 +314,29 @@ def test_from_json_rejects_a_repeated_position():
         Pattern.from_json([[1, 2], [2, 3], [1, 2]])
     # the constructor keeps its set semantics
     assert Pattern([(1, 2), (2, 3), (1, 2)]) == Pattern([(1, 2), (2, 3)])
+
+
+def test_every_construction_iterates_in_sorted_order():
+    # the sorted positions are stored once; every way of building a pattern
+    # must store them sorted, and equality and hashing stay those of the set
+    rng = random.Random(11)
+    for n in (3, 5, 8):
+        I = random_strict(rng, n)
+        cells = list(I)
+        rng.shuffle(cells)
+        (i, j) = next(p for p in cells if p[::-1] not in I)
+        built = [
+            Pattern(cells),
+            Pattern.from_mask(I.mask(n), n),
+            Pattern.from_json([list(p) for p in cells]),
+            I.transpose(),
+            I.apply_perm(random_permutation(rng, n)),
+            I.flip((i, j)),
+            I.translate((2, 1)),
+        ]
+        for J in built:
+            assert list(J) == sorted(J) and J.positions == tuple(J)
+        for J in built[:3]:
+            assert J == I and hash(J) == hash(I) == hash(frozenset(cells))
+            assert J.positions == I.positions
+        assert I.flip((i, j)) != I and I.flip((i, j)).flip((j, i)) == I

@@ -156,24 +156,35 @@ def test_pairing_matches_naive_random_n5():
         assert pair_with_vandermonde(I, 5) == pair_with_vandermonde_naive(I, 5)
 
 
+def test_pairing_sum_is_exact_in_int64_up_to_n6():
+    # |sum| <= n! (n-1)^mu(n), below 2^63 up to n = 6, where the pairing is
+    # one int64 sum and a division; from n = 7 on it runs on residues
+    for n in range(1, MAX_PAIR_N + 1):
+        exact = math.factorial(n) * (n - 1) ** mu(n) < 2**63
+        assert exact == (n <= 6) == zeropat.polynomials._pair_constants(n)[1]
+    rng = random.Random(63)
+    for _ in range(40):
+        I = random_strict(rng, 6)
+        assert pair_with_vandermonde(I, 6) == pair_with_vandermonde_naive(I, 6)
+
+
 def test_pairing_matches_naive_across_groups():
-    # from n = 6 on, the mu(n) factors span more than one exact int64 group
-    assert zeropat.polynomials._pair_constants(5)[0] >= mu(5)
+    # on the residue path, n >= 7, the mu(n) factors span more than one
+    # exact int64 group
+    assert zeropat.polynomials._pair_constants(7)[2] < mu(7)
     rng = random.Random(6)
-    for n, count in ((6, 20), (7, 5)):
-        assert zeropat.polynomials._pair_constants(n)[0] < mu(n)
-        for _ in range(count):
-            I = random_strict(rng, n)
-            assert pair_with_vandermonde(I, n) == pair_with_vandermonde_naive(I, n)
+    for _ in range(5):
+        I = random_strict(rng, 7)
+        assert pair_with_vandermonde(I, 7) == pair_with_vandermonde_naive(I, 7)
 
 
 def test_pairing_sums_across_row_blocks(monkeypatch):
-    # 7 rows a block: 120 permutations end in a partial block
-    monkeypatch.setattr(zeropat.polynomials, "_PAIR_CHUNK", 7)
+    # 997 rows a block: the 5040 permutations of n = 7 end in a partial block
+    monkeypatch.setattr(zeropat.polynomials, "_PAIR_CHUNK", 997)
     rng = random.Random(7)
-    for _ in range(20):
-        I = random_strict(rng, 5)
-        assert pair_with_vandermonde(I, 5) == pair_with_vandermonde_naive(I, 5)
+    for _ in range(3):
+        I = random_strict(rng, 7)
+        assert pair_with_vandermonde(I, 7) == pair_with_vandermonde_naive(I, 7)
 
 
 def test_pairing_of_the_empty_pattern_at_n1():
