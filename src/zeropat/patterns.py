@@ -16,6 +16,7 @@ Permutations of {1..n} are represented as tuples of images, 1-based:
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable, Sequence
 
@@ -25,6 +26,12 @@ Position = tuple[int, int]
 def mu(n: int) -> int:
     """Number of positions strictly above the diagonal of an n x n grid."""
     return n * (n - 1) // 2
+
+
+@functools.cache
+def grid_cells(n: int) -> tuple[Position, ...]:
+    """Position (i, j) of the n x n grid at its mask bit (i-1) n + (j-1)."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 class Pattern:
@@ -142,14 +149,16 @@ class Pattern:
     def from_mask(mask: int, n: int) -> "Pattern":
         """The pattern whose occupancy bitmask over the n x n grid is the
         Python int ``mask``, the inverse of ``mask(n)``.  Only the set bits
-        are visited, and their positions are valid by construction, so the
-        checks of ``Pattern(...)`` are skipped; the bits come lowest first,
-        which is the sorted order of the positions."""
+        are visited, each read from ``grid_cells(n)``, so the checks of
+        ``Pattern(...)`` are skipped; the bits come lowest first, which is
+        the sorted order of the positions."""
+        if n < 1 or mask < 0 or mask >> n * n:
+            raise ValueError(f"{mask} is no occupancy mask of the {n} x {n} grid")
+        cells = grid_cells(n)
         pos = []
         while mask:
             low = mask & -mask
-            i, j = divmod(low.bit_length() - 1, n)
-            pos.append((i + 1, j + 1))
+            pos.append(cells[low.bit_length() - 1])
             mask ^= low
         I = Pattern.__new__(Pattern)
         I._positions, I._sorted = frozenset(pos), tuple(pos)

@@ -294,18 +294,31 @@ _PAIR_CHUNK = 1 << 12
 
 
 @functools.cache
-def _pair_constants(n: int) -> tuple[int, bool, int, np.ndarray, tuple[int, ...]]:
-    """The pairing's divisor prod_{i<j} (i - j); whether its signed sum is
-    exact in int64, n! (n-1)^mu(n) < 2^63 (so n <= 6); and for the residue
+def _pair_constants(n: int) -> tuple[int, np.ndarray | None, int, np.ndarray, tuple[int, ...]]:
+    """The pairing's divisor prod_{i<j} (i - j); when its signed sum is exact
+    in int64, n! (n-1)^mu(n) < 2^63 (so n <= 6), the difference table, whose
+    row (i-1) n + (j-1) holds sigma(i-1) - sigma(j-1) over the rows sigma of
+    permutation_table(n) (int64, read-only), else None; and for the residue
     path the group size, the primes as a column and, per prime, the CRT
     weight: 0 modulo the other primes, and modulo this one the inverse of
     the divisor."""
     scale = math.prod(i - j for i in range(n) for j in range(i + 1, n))
-    exact = math.factorial(n) * (n - 1) ** mu(n) < 2**63
+    table = None
+    if math.factorial(n) * (n - 1) ** mu(n) < 2**63:
+        cols = permutation_table(n)[0].T.astype(np.int64)
+        table = (cols[:, None] - cols[None]).reshape(n * n, -1)
+        table.flags.writeable = False
     g = max(k for k in range(1, max(mu(n), 1) + 1) if (n - 1) ** k < 2**31)
     m = math.prod(_PRIMES)
     weights = tuple(m // p * pow(scale * (m // p), -1, p) for p in _PRIMES)
-    return scale, exact, g, np.array(_PRIMES, dtype=np.int64)[:, None], weights
+    return scale, table, g, np.array(_PRIMES, dtype=np.int64)[:, None], weights
+
+
+def _exact_pairings(bits, n: int) -> np.ndarray:
+    """Pairings of the strict size-mu(n) patterns whose mask bits run along
+    the last axis of ``bits``, for n <= 6, by one difference-table gather."""
+    scale, table = _pair_constants(n)[:2]
+    return table.take(bits, axis=0).prod(axis=-2).dot(permutation_table(n)[1]) // scale
 
 
 def pair_with_vandermonde(I: Pattern, n: int) -> int:
@@ -318,23 +331,24 @@ def pair_with_vandermonde(I: Pattern, n: int) -> int:
                   / prod_{i<j} (i - j).
 
     For n <= 6 each product is below (n-1)^mu(n) and the sum below n! times
-    that, under 2^63, so the sum is taken exactly in int64 and divided.  For
-    n >= 7 it is summed over the permutation table modulo two primes and
+    that, under 2^63, so the sum is taken exactly in int64 from the cached
+    differences and divided.  For n >= 7 it is summed modulo two primes and
     recombined by the Chinese remainder theorem; the factors are multiplied
     g at a time, g the largest with (n-1)^g < 2^31, so a group's product is
     exact in int64, and so is its product with a residue.  A pattern whose
     size differs from mu(n) pairs to zero by homogeneity.
     """
-    _check_strict(I, n)
-    require_pair_budget(n)
-    if len(I) != mu(n):
+    bits = [(i - 1) * n + j - 1 for i, j in I if i != j and i <= n and j <= n]
+    if len(bits) < len(I) or not 1 <= n <= MAX_PAIR_N:  # the full checks raise
+        _check_strict(I, n)
+        require_pair_budget(n)
+    if len(bits) != mu(n):
         return 0
+    _, table, g, primes, weights = _pair_constants(n)
+    if table is not None:
+        return int(_exact_pairings(bits, n))
     perms, signs = permutation_table(n)
-    scale, exact, g, primes, weights = _pair_constants(n)
     ends = [i - 1 for i, _ in I] + [j - 1 for _, j in I]
-    if exact:
-        diffs = perms[:, ends[:mu(n)]] - perms[:, ends[mu(n):]]
-        return int(diffs.prod(axis=1, dtype=np.int64) @ signs) // scale
     sums = np.zeros(len(_PRIMES), dtype=np.int64)  # |sums| < n! 2^31 < 2^63
     for start in range(0, len(signs), _PAIR_CHUNK):
         block = perms[start:start + _PAIR_CHUNK, ends]

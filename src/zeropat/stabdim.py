@@ -153,12 +153,12 @@ def stabilizer_dim(I: Pattern, n: int) -> int:
     columns p and q of I agree, so swapping p and q fixes I.  As
     n^2 - 2 mu(n) = n, a strict maximal I is defective iff it has one.
     """
-    if not I.is_proper(n):
-        raise ValueError("stabilizer dimension needs a proper pattern")
     # 0-based: bit q of free_rows[p] (free_cols[p]) is set when cell (p, q)
     # ((q, p)) is off the diagonal and not in I, bit p of free_diag when cell
     # (p, p) is not in I, and bit q of pins[p] when X_pq or X_qp is pinned
-    cells = [(i - 1, j - 1) for i, j in I]
+    cells = [(i - 1, j - 1) for i, j in I if i <= n and j <= n]
+    if len(cells) < len(I) or n < 1:
+        I.check_within(n)  # raises, naming n or a position outside the grid
     free_diag = (1 << n) - 1
     free_rows = [free_diag ^ (1 << p) for p in range(n)]
     free_cols = free_rows.copy()
@@ -167,6 +167,8 @@ def stabilizer_dim(I: Pattern, n: int) -> int:
         free_cols[j] &= ~(1 << i)
         if i == j:
             free_diag ^= 1 << i
+    if not free_diag:
+        raise ValueError("stabilizer dimension needs a proper pattern")
     pins = [0] * n
     for i, j in cells:
         pins[i] |= free_cols[j]

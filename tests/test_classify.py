@@ -349,6 +349,16 @@ def test_census_makes_one_pairing_and_one_stabilizer_call_per_class(monkeypatch)
     assert calls == {"pair_with_vandermonde": 30, "stabilizer_dim": 30}
 
 
+def test_census_validates_each_class_at_most_once(monkeypatch):
+    # the pairing and the stabilizer dimension validate a representative in
+    # the pass that reads its positions, not by a check_within call each
+    calls = []
+    check = Pattern.check_within
+    monkeypatch.setattr(Pattern, "check_within", lambda I, n: calls.append(n) or check(I, n))
+    _, records = classify_all(4)
+    assert len(records) == 30 and len(calls) <= 30
+
+
 def test_census_checks_that_the_orbits_cover_every_pattern(monkeypatch):
     walk = classify._class_walk
     # drop the first class, an orbit of 12 of the 20 patterns

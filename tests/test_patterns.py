@@ -9,6 +9,7 @@ from zeropat.patterns import (
     block_extend,
     cyclic3,
     delta,
+    grid_cells,
     j_core,
     j_core_half,
     j_family,
@@ -281,6 +282,26 @@ def test_mask_roundtrip():
         for _ in range(10):
             mask = rng.getrandbits(n * n)
             assert Pattern.from_mask(mask, n).mask(n) == mask
+
+
+@pytest.mark.parametrize("mask, n", [
+    (-1, 3),  # infinitely many set bits
+    (1 << 20, 3),  # far wider than the grid
+    (1 << 9, 3),  # one bit past the last cell
+    (1, 0),
+    (0, 0),
+    (1, -2),
+])
+def test_from_mask_rejects_what_is_no_mask_of_the_grid(mask, n):
+    with pytest.raises(ValueError, match=f"{mask} is no occupancy mask of the {n} x {n} grid"):
+        Pattern.from_mask(mask, n)
+
+
+def test_from_mask_reads_the_cells_of_the_grid():
+    assert grid_cells(3) == tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
+    assert grid_cells(3) is grid_cells(3)
+    assert Pattern.from_mask((1 << 9) - 1, 3).positions == grid_cells(3)
+    assert Pattern.from_mask(1 << 8 | 1 << 1, 3).positions == ((1, 2), (3, 3))
 
 
 def test_family_parsing():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import zeropat.verify
@@ -161,7 +162,7 @@ def test_pairing_sum_is_exact_in_int64_up_to_n6():
     # one int64 sum and a division; from n = 7 on it runs on residues
     for n in range(1, MAX_PAIR_N + 1):
         exact = math.factorial(n) * (n - 1) ** mu(n) < 2**63
-        assert exact == (n <= 6) == zeropat.polynomials._pair_constants(n)[1]
+        assert exact == (n <= 6) == (zeropat.polynomials._pair_constants(n)[1] is not None)
     rng = random.Random(63)
     for _ in range(40):
         I = random_strict(rng, 6)
@@ -246,8 +247,62 @@ def test_pairing_rejects_an_empty_grid():
 
 
 def test_pairing_rejects_diagonal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^diagonal position \(1, 1\) in pattern$"):
         pair_with_vandermonde(Pattern([(1, 1), (1, 2), (2, 1)]), 2)
+    with pytest.raises(ValueError, match=r"^diagonal position \(2, 2\) in pattern$"):
+        pair_with_vandermonde(Pattern([(1, 2), (3, 3), (2, 2)]), 11)
+
+
+@pytest.mark.parametrize("positions, n, message", [
+    ([(1, 2), (3, 1)], 2, r"position \(3, 1\) outside the 2 x 2 grid"),
+    ([(1, 1), (4, 1)], 2, r"position \(4, 1\) outside the 2 x 2 grid"),
+    ([(12, 1)], 11, r"position \(12, 1\) outside the 11 x 11 grid"),
+    ([(1, 2)], 0, "grid size must be at least 1, got 0"),
+    ([], -3, "grid size must be at least 1, got -3"),
+    ([], 10**6, "pairings are evaluated for n <= 10, got 1000000"),
+])
+def test_pairing_checks_the_grid_before_the_budget(positions, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pair_with_vandermonde(Pattern(positions), n)
+
+
+def test_table_kernel_matches_the_oracle_and_the_residue_path(monkeypatch):
+    rng = random.Random(27)
+    cases = [(Pattern(), 1), (Pattern(), 2), (Pattern([(1, 2)]), 3), (lam(6), 6)]
+    cases += [(random_strict(rng, n), n) for n in range(2, 7) for _ in range(8)]
+    table = [pair_with_vandermonde(I, n) for I, n in cases]
+    assert table == [pair_with_vandermonde_naive(I, n) for I, n in cases]
+    assert table[:4] == [1, 0, 0, lambda_expected(6)] and any(table[4:])
+    # without a difference table every n takes the residue path
+    constants = zeropat.polynomials._pair_constants
+    monkeypatch.setattr(zeropat.polynomials, "_pair_constants",
+                        lambda n: (constants(n)[0], None, *constants(n)[2:]))
+    assert [pair_with_vandermonde(I, n) for I, n in cases] == table
+
+
+def test_table_kernel_pairs_a_batch_like_one_call_each():
+    rng = random.Random(11)
+    for n in range(2, 7):
+        patterns = [random_strict(rng, n) for _ in range(6)]
+        bits = np.array([[(i - 1) * n + j - 1 for i, j in I] for I in patterns])
+        one_by_one = [pair_with_vandermonde(I, n) for I in patterns]
+        assert zeropat.polynomials._exact_pairings(bits, n).tolist() == one_by_one
+        batch = zeropat.polynomials._exact_pairings(bits.reshape(2, 3, -1), n)
+        assert batch.shape == (2, 3) and batch.ravel().tolist() == one_by_one
+
+
+def test_difference_table_is_cached_and_read_only():
+    for n in range(1, MAX_PAIR_N + 1):
+        table = zeropat.polynomials._pair_constants(n)[1]
+        if n >= 7:
+            assert table is None
+            continue
+        assert table is zeropat.polynomials._pair_constants(n)[1]
+        assert not table.flags.writeable
+        perms = permutation_table(n)[0]
+        assert table.shape == (n * n, math.factorial(n)) and table.dtype == np.int64
+        for i, j in itertools.product(range(n), repeat=2):
+            assert (table[i * n + j] == perms[:, i].astype(int) - perms[:, j]).all()
 
 
 def test_pairing_sign_rules():

@@ -75,8 +75,28 @@ def test_known_defective_representative():
 
 
 def test_improper_pattern_rejected():
-    with pytest.raises(ValueError):
-        stabilizer_dim(delta(3), 3)
+    message = "^stabilizer dimension needs a proper pattern$"
+    for I, n in [(delta(3), 3), (Pattern([(1, 1)]), 1), (Pattern([(1, 1), (2, 2), (1, 2)]), 2)]:
+        with pytest.raises(ValueError, match=message):
+            stabilizer_dim(I, n)
+
+
+def test_diagonal_positions_of_a_proper_pattern_are_accepted():
+    assert stabilizer_dim(Pattern([(1, 1), (1, 2), (2, 1)]), 2) == 4
+    assert stabilizer_dim(Pattern([(1, 1)]), 11) == 101
+
+
+@pytest.mark.parametrize("positions, n, message", [
+    ([(1, 2), (3, 1)], 2, r"position \(3, 1\) outside the 2 x 2 grid"),
+    ([(1, 1), (2, 2), (4, 1)], 2, r"position \(4, 1\) outside the 2 x 2 grid"),
+    ([(1, 2), (2, 5)], 4, r"position \(2, 5\) outside the 4 x 4 grid"),
+    ([], 0, "grid size must be at least 1, got 0"),
+    ([(1, 2)], 0, "grid size must be at least 1, got 0"),
+    ([], -3, "grid size must be at least 1, got -3"),
+])
+def test_stabilizer_dim_checks_the_grid_first(positions, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stabilizer_dim(Pattern(positions), n)
 
 
 def test_torus_lower_bound():
