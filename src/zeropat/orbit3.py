@@ -411,8 +411,15 @@ def _pattern_jacobian(B: np.ndarray, table: np.ndarray) -> np.ndarray:
 #: live starts that one Gauss-Newton iteration reduces together: the first
 #: _BLOCK in restart order, refilled as starts finish.  A fixed window bounds
 #: the memory of the stacked Jacobians and trial matrices whatever the restart
-#: budget, and refilling keeps it full while slow starts run to max_iter
-_BLOCK = 512
+#: budget, and refilling keeps it full while slow starts run to max_iter.  At
+#: n = 3 a window start costs about 1.3 kB at the iteration's peak, while
+#: ``_exp3_trials`` forms its matrices, so a full window takes under 3 MB.
+#: 2048 holds the default budget of 2000 restarts in one window.  Every
+#: iteration and every trial step length pays a fixed cost of a few dozen
+#: small numpy calls once per window, so one window pays it about half as
+#: often as windows of 512: a flags3 pass at seed 7919 makes 179 iterations
+#: and 1229 trial steps, against 367 and 2457
+_BLOCK = 2048
 
 #: squared pattern residual at or below which a reduction has converged
 RESID_TOL = 1e-18
@@ -426,7 +433,8 @@ TORUS_TOL = 1e-7
 FLAG_TOL = 1e-4
 
 #: restarts one count accepts at most: every start is drawn and held at
-#: once, about 1.2 kB each, so 10**6 restarts take about 1.2 GB
+#: once, about 1.2 kB each, so 10**6 restarts take about 1.2 GB; only the
+#: _BLOCK starts of the window add the stacks of an iteration
 MAX_RESTARTS = 10**6
 
 #: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
@@ -568,6 +576,12 @@ def _det3(M: np.ndarray) -> np.ndarray:
     )
 
 
+def _columns(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The stack a at the sorted distinct stack indices k: a itself, with no
+    copy, when k takes every matrix of the stack."""
+    return a if k.size == a.shape[-1] else a[..., k]
+
+
 def _eigh_trials(U: np.ndarray, X: np.ndarray):
     """The map (t, k) -> U[..., k] exp(t X[..., k]) for a stack U of n x n
     unitaries and a stack X of skew-hermitian matrices, from one eigh of the
@@ -576,7 +590,9 @@ def _eigh_trials(U: np.ndarray, X: np.ndarray):
     w, V = np.linalg.eigh(-1j * X.transpose(2, 0, 1))
     V = np.ascontiguousarray(V.transpose(1, 2, 0))
     UV, Vh, w = _mm(U, V), _adjoint(V), np.ascontiguousarray(w.T)
-    return lambda t, k: _mm(UV[..., k] * np.exp(1j * t * w[:, k]), Vh[..., k])
+    return lambda t, k: _mm(
+        _columns(UV, k) * np.exp(1j * t * _columns(w, k)), _columns(Vh, k)
+    )
 
 
 def _exp3_trials(U: np.ndarray, X: np.ndarray):
@@ -602,9 +618,9 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
     and w.  S is t where w = 0: a computed w of 0 may stand for a true split
     of about sqrt(eps) |H0|, whose N2 term S keeps.  A zero H0 (possible on
     the SVD step) gives f = (1, 0, 0), so X = 0 gives U exactly."""
-    H = -1j * X
-    a = np.trace(H).real / 3
-    H0 = H - np.eye(3)[..., None] * a
+    H0 = -1j * X
+    a = np.trace(H0).real / 3
+    H0 -= np.eye(3)[..., None] * a
     H0sq = _mm(H0, H0)
     c1 = np.trace(H0sq).real / 2
     c0 = _det3(H0).real
@@ -630,13 +646,18 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
     )
     K[0, 0] += flat
     # N_j = sum_i K[j, i] M_i with M = (U, U H0, U H0^2), as three
-    # contiguous linear combinations
+    # contiguous linear combinations built in place: N_2 holds the products
+    # of N_0 and N_1 until M_1 and M_2, no longer needed, take their own
     M = (U, _mm(U, H0), _mm(U, H0sq))
+    del H0, H0sq
     N = np.empty((3,) + U.shape, dtype=complex)
-    for j in range(3):
+    for j in range(2):
         np.multiply(K[j, 0], M[0], out=N[j])
-        N[j] += K[j, 1] * M[1]
-        N[j] += K[j, 2] * M[2]
+        for i in (1, 2):
+            N[j] += np.multiply(K[j, i], M[i], out=N[2])
+    np.multiply(K[2, 0], M[0], out=N[2])
+    for i in (1, 2):
+        N[2] += np.multiply(K[2, i], M[i], out=M[i])
     N = N.reshape(3, 9, -1)
     # the columns a trial length t scales: a + 2u, a - u, w, and the S of
     # w = 0
@@ -645,12 +666,12 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
     winv = 1 / np.where(still, 1.0, w)
 
     def trial(t, k):
-        top, mid, tw, s0 = C[:, k] * t
+        Ck, Nk, wk = (_columns(v, k) for v in (C, N, winv))
+        top, mid, tw, s0 = Ck * t
         F = np.exp(1j * mid)
-        Nk = N[..., k]
         U2 = np.exp(1j * top) * Nk[0]
         U2 += F * np.cos(tw) * Nk[1]
-        U2 += F * (np.sin(tw) * winv[k] + s0) * Nk[2]
+        U2 += F * (np.sin(tw) * wk + s0) * Nk[2]
         return U2.reshape(3, 3, -1)
 
     return trial
@@ -749,13 +770,17 @@ def gauss_newton_reduce(
     The stacks are held with the stack axis last (see ``_mm``) and returned
     with it first.  Each iteration steps the first _BLOCK live starts in
     restart order, so the window refills from the waiting starts as others
-    stop, and the stacked arrays never hold more than _BLOCK starts.  The
-    starts share no state, but a start's place in the stack can change the
-    rounding of the product A @ U and of the residual and Gram ``einsum``
-    calls, so its path depends on the window at rounding level: on panel
-    matrix 2 of the flags3 benchmark, a window of 37 moves endpoints by up to
-    5.5e-14 and changes the step counts of stalled starts, though no start
-    switches between converged and not.
+    stop, and the stacked arrays never hold more than _BLOCK starts.  An
+    iteration drops the Jacobians once the steps are solved and its trial
+    matrices before the next iteration starts, and takes a window or a
+    trial's starts without a copy when they are the whole stack
+    (``_columns``), so memory peaks at one window's trial matrices on top of
+    the held starts.  The starts share no state, but a start's place in the
+    stack can change the rounding of the product A @ U and of the residual
+    and Gram ``einsum`` calls, so its path depends on the window at rounding
+    level: on panel matrix 2 of the flags3 benchmark, a window of 37 moves
+    endpoints by up to 5.5e-14 and changes the step counts of stalled
+    starts, though no start switches between converged and not.
 
     Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
     each, their squared residuals and the number of steps each start took.
@@ -778,10 +803,16 @@ def gauss_newton_reduce(
         idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
-        J = _pattern_jacobian(B[..., idx], jacobian_table)
-        coef, _ = _min_norm_steps(J, r[:, idx])
+        # each stack of the window is dropped once the next is formed, and
+        # the trial matrices before the next window's Jacobians, so an
+        # iteration peaks while the trial matrices are formed
+        J = _pattern_jacobian(_columns(B, idx), jacobian_table)
+        coef, _ = _min_norm_steps(J, _columns(r, idx))
+        del J
         X = _skew_combinations(basis_table, coef)
-        trial = (_exp3_trials if n == 3 else _eigh_trials)(U[..., idx], X)
+        del coef
+        trial = (_exp3_trials if n == 3 else _eigh_trials)(_columns(U, idx), X)
+        del X
         searching = np.ones(idx.size, dtype=bool)
         step = 1.0
         for _ in range(10):
@@ -801,6 +832,7 @@ def gauss_newton_reduce(
             step *= 0.5
         steps[idx[~searching]] += 1
         live[idx[searching]] = False
+        del trial, U2, B2
     # one Newton-Schulz step toward the polar factor: the endpoints are
     # unitary to about 1e-15, so one step reaches it to rounding
     U = 1.5 * U - 0.5 * _mm(U, _mm(_adjoint(U), U))
@@ -853,9 +885,10 @@ def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> Flag
     evidence of nothing.  All restarts go through one ``gauss_newton_reduce``
     call from the first ``restarts`` Haar draws of default_rng(seed)
     (ValueError unless 1 <= restarts <= MAX_RESTARTS); it steps at most
-    _BLOCK of them at a time, which can move the endpoints and the step
-    counts of stalled restarts at rounding level but has not been seen to
-    change a count or a cluster."""
+    _BLOCK of them at a time, so a budget up to _BLOCK (the default among
+    them) runs as one window.  The window can move the endpoints and the
+    step counts of stalled restarts at rounding level but has not been seen
+    to change a count or a cluster."""
     A = np.asarray(A, dtype=complex)
     n = len(A) if A.ndim else 0
     if n not in (2, 3, 4):

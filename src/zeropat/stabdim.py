@@ -137,6 +137,13 @@ def integer_rank(rows, ncols: int) -> int:
     return rank
 
 
+#: largest grid size ``stabilizer_dim`` accepts: it builds n masks of n bits
+#: and walks up to n^2 / 2 pairs in Python, so the bound keeps one call to
+#: milliseconds while covering every n the package evaluates (pairings stop
+#: at n = 10)
+MAX_STAB_N = 256
+
+
 def stabilizer_dim(I: Pattern, n: int) -> int:
     """Real dimension of the stabilizer of the pattern subspace in U(n).
 
@@ -152,6 +159,8 @@ def stabilizer_dim(I: Pattern, n: int) -> int:
     free, those are the twin pairs: (p, q), (q, p) not in I, and rows and
     columns p and q of I agree, so swapping p and q fixes I.  As
     n^2 - 2 mu(n) = n, a strict maximal I is defective iff it has one.
+    ValueError for a position outside the grid, n < 1, n > MAX_STAB_N (in
+    that order) or an improper I.
     """
     # 0-based: bit q of free_rows[p] (free_cols[p]) is set when cell (p, q)
     # ((q, p)) is off the diagonal and not in I, bit p of free_diag when cell
@@ -159,6 +168,10 @@ def stabilizer_dim(I: Pattern, n: int) -> int:
     cells = [(i - 1, j - 1) for i, j in I if i <= n and j <= n]
     if len(cells) < len(I) or n < 1:
         I.check_within(n)  # raises, naming n or a position outside the grid
+    if n > MAX_STAB_N:
+        raise ValueError(
+            f"stabilizer dimensions are computed for n <= {MAX_STAB_N}, got {n}"
+        )
     free_diag = (1 << n) - 1
     free_rows = [free_diag ^ (1 << p) for p in range(n)]
     free_cols = free_rows.copy()

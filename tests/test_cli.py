@@ -174,6 +174,8 @@ def test_verify_unknown_suite_rejected(capsys):
      "grid size must be at least 1, got -3"),
     (["stabdim", "--n", "-2", "--pattern", "[]"],
      "grid size must be at least 1, got -2"),
+    (["stabdim", "--n", "257", "--pattern", "[]"],
+     "stabilizer dimensions are computed for n <= 256, got 257"),
     (["flags3", "--seed", "-1"], "--seed must be at least 0, got -1"),
     (["verify", "certificates", "--seed", "-1"],
      "--seed must be at least 0, got -1"),
@@ -200,6 +202,7 @@ def test_verify_unknown_suite_rejected(capsys):
         "certificates-no-samples",
         "block-product-no-samples", "lambda-family-below-3", "all-below-3",
         "pair-empty-grid", "pair-negative-grid", "stabdim-negative-grid",
+        "stabdim-over-budget",
         "flags3-negative-seed", "certificates-negative-seed",
         "jfamily-negative-seed", "derivative-chain-over-budget",
         "ideal-congruence-over-budget", "pattern-repeated-position",
@@ -341,6 +344,21 @@ def test_flags3_rejects_a_restart_budget_past_the_cap(capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "zeropat: error: at most 1000000 restarts, got 1000001" in err
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["--samples", "5", "--restarts", "1000", "--seed", "7"], [(6, 1000)] * 5),
+    (["--samples", "3", "--restarts", "2000", "--seed", "2024"],
+     [(6, 2000), (6, 2000), (6, 1198)]),
+], ids=["seed7", "seed2024"])
+def test_flags3_reference_runs_keep_their_counts(capsys, argv, counts):
+    # the flag count and the converged restarts of every sample of the two
+    # reference runs; the reducer's window and the rounding it brings may move
+    # the step counts of stalled restarts, never these
+    code, out = run_cli(capsys, "flags3", *argv)
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    assert [(s["N"], s["converged"]) for s in samples] == counts
 
 
 def test_flags3_deterministic(capsys):

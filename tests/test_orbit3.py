@@ -1,6 +1,7 @@
 """Numerical companion: invariants, the degree-24 polynomial, transversality,
 and the reducing-flag machinery for the cyclic pattern."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -540,14 +541,45 @@ def test_count_flags_does_not_depend_on_the_block_size(monkeypatch):
     # panel matrix 1 keeps every bit; on the slow panel matrix 2 a restart's
     # place in the stacked products changes their rounding, which moves the
     # founders by up to 5.5e-14 and the step counts of stalled restarts, as
-    # in test_count_flags_matches_the_restart_loop[2]
+    # in test_count_flags_matches_the_restart_loop[2].  2000 restarts run as
+    # one window by default and as four windows of 512
     cases = [(flags3_panel(1), True), (flags3_panel(2), False)]
-    wants = [count_flags(A, restarts=300, seed=4) for A, _ in cases]
-    for block in (37, 300):
-        monkeypatch.setattr(orbit3, "_BLOCK", block)
-        for (A, exact), want in zip(cases, wants):
-            got = count_flags(A, restarts=300, seed=4)
-            assert_same_census(got, want, 0.0 if exact else 1e-9, same_steps=exact)
+    default = orbit3._BLOCK
+    assert default >= 2000
+    for restarts, blocks in ((300, (37, 300)), (2000, (512,))):
+        monkeypatch.setattr(orbit3, "_BLOCK", default)
+        wants = [count_flags(A, restarts=restarts, seed=4) for A, _ in cases]
+        for block in blocks:
+            monkeypatch.setattr(orbit3, "_BLOCK", block)
+            for (A, exact), want in zip(cases, wants):
+                got = count_flags(A, restarts=restarts, seed=4)
+                assert_same_census(
+                    got, want, 0.0 if exact else 1e-9, same_steps=exact
+                )
+
+
+def test_a_full_window_stays_lean(monkeypatch):
+    # one window of 2000 restarts peaks at 3.8 MB traced; the same window
+    # holding each iteration's Jacobians and trial matrices until the next
+    # ones were built peaked at 6.8 MB, and windows of 512 at 2.6 MB
+    A = flags3_panel(0)
+    count_flags(A, restarts=20)  # the cached tables are built outside the trace
+    widest = []
+    solve = orbit3._min_norm_steps
+
+    def recording(J, r):
+        widest.append(J.shape[-1])
+        return solve(J, r)
+
+    monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
+    tracemalloc.start()
+    try:
+        count_flags(A, restarts=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(widest) == 2000
+    assert peak < 5e6
 
 
 def test_count_flags_reports_an_open_z_orbit(monkeypatch):

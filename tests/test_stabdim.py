@@ -6,7 +6,9 @@ import random
 import pytest
 
 from zeropat.patterns import Pattern, delta, mu, ne
+from zeropat.polynomials import MAX_PAIR_N
 from zeropat.stabdim import (
+    MAX_STAB_N,
     constraint_rows,
     float_system_rank,
     integer_rank,
@@ -97,6 +99,17 @@ def test_diagonal_positions_of_a_proper_pattern_are_accepted():
 def test_stabilizer_dim_checks_the_grid_first(positions, n, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         stabilizer_dim(Pattern(positions), n)
+
+
+def test_stabilizer_dim_refuses_a_grid_past_its_budget():
+    n = MAX_STAB_N + 1
+    message = f"^stabilizer dimensions are computed for n <= {MAX_STAB_N}, got {n}$"
+    # before the properness check, which would need the masks
+    for I in (Pattern(), delta(n)):
+        with pytest.raises(ValueError, match=message):
+            stabilizer_dim(I, n)
+    assert MAX_STAB_N >= MAX_PAIR_N
+    assert stabilizer_dim(Pattern(), MAX_STAB_N) == MAX_STAB_N**2
 
 
 def test_torus_lower_bound():
