@@ -8,19 +8,19 @@ exceptional from its pairing against the Vandermonde expansion and its exact
 stabilizer dimension.
 
 One orbit engine serves every consumer.  A pattern is its occupancy mask
-over the n x n grid (``Pattern.mask``, 64-bit, so n <= 8), and two matrices
-per n, built from the group's gather table and cached in float64 for exact
-BLAS products, carry a mask's occupancy bits b to its whole orbit: b @ P
-lists the 2 n! image masks and b @ W the flip code of each image, its
-pair-multiplicity code.  The canonical form of a pattern is its minimum
-image and its flip key the minimum of b @ W, both from the pattern alone.
-The census walks the strict masks in increasing order, which is the colex
-order of their off-diagonal cells, unranked a slice of unvisited ranks at
-a time: a mask is its class representative when it equals its minimum
-image.  Only representatives' images are marked visited, at their colex
-ranks, two lookups in tables cached per n, and the orbit size is 2 n! over
-the number of images equal to the representative, its stabilizer.  Output
-is reproducible bit for bit.
+over the n x n grid (``Pattern.mask``, 64-bit, so n <= 8), and two float64
+matrices per n, built from the group's gather table and cached for exact
+BLAS products, carry a mask's occupancy bits b to its orbit: b @ P lists
+the 2 n! image masks and b @ W the flip (pair-multiplicity) code of each
+relabeling.  The canonical form of a pattern is its minimum image and its
+flip key the minimum of b @ W, both from the pattern alone.  The census
+walks the strict masks in increasing order, the colex order of their
+off-diagonal cells, unranked a slice of unvisited ranks at a time: a mask
+is its class representative when it equals its minimum image.  Only
+representatives' images are marked visited, at their colex ranks, and
+only representatives are keyed; the orbit size is 2 n! over the number of
+images equal to the representative, its stabilizer.  Output is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -131,18 +131,21 @@ def strict_count(n: int) -> int:
 #: takes 5 ms at 4096 and 8192, 6-7 ms at 512 and 65,536; slices of 64 keep
 #: its transients to 0.44 MB, and 48 to 128 take 5-7 ms, 32 about 10 ms
 _WALK_CHUNK, _WALK_SLICE = 4096, 64
-#: class representatives per flip-key product of the census (0.27 MB at n = 5)
-_KEY_CHUNK = 128
+
+
+def _require_mask_n(n: int) -> None:
+    """ValueError unless the n x n grid fits a 64-bit mask."""
+    if not 1 <= n <= MAX_MASK_N:
+        raise ValueError(
+            f"orbit masks are 64-bit: need 1 <= n <= {MAX_MASK_N}, got {n}"
+        )
 
 
 def _group_table(n: int) -> np.ndarray:
     """Gather table of G on the n x n grid, 2 n! rows by n^2 columns: the
     image of a mask under row g has at cell c the bit the mask has at cell
     table[g, c].  Cell c is bit c of ``Pattern.mask``, (i-1)*n + (j-1)."""
-    if not 1 <= n <= MAX_MASK_N:
-        raise ValueError(
-            f"orbit masks are 64-bit: need 1 <= n <= {MAX_MASK_N}, got {n}"
-        )
+    _require_mask_n(n)
     perms = permutation_table(n)[0].astype(np.intp)
     relabel = perms[:, :, None] * n + perms[:, None, :]
     table = np.concatenate([relabel, relabel.transpose(0, 2, 1)])
@@ -169,38 +172,29 @@ def _weak_weights(n: int) -> np.ndarray:
     return (weights + weights.T).ravel()
 
 
-def _image_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Image-power matrix P and image-weight matrix W of G on the n x n
-    grid, n^2 rows by 2 n! columns each, exact in uint64; the products use
-    their cached float form, ``_float_images``.  For the occupancy bits b
-    of a mask, b @ P holds its image masks and b @ W the weak codes of those
-    images, one column per group element.  The image under row g of
-    ``_group_table`` moves cell table[g, c] to cell c, so column g has the
-    power 2^c and the weight of cell c in row table[g, c].  Needs n <= 8."""
-    table = _group_table(n)
-    column = np.arange(len(table))[:, None]
-    P = np.zeros((n * n, len(table)), dtype=np.uint64)
-    W = np.zeros_like(P)
-    P[table, column] = np.uint64(1) << np.arange(n * n, dtype=np.uint64)
-    W[table, column] = _weak_weights(n)
-    return P, W
-
-
 @functools.cache
 def _float_images(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_image_matrices`` in float64 for BLAS products, cached and
-    read-only.  Products with occupancy bits are exact while their sums stay
-    below 2^53: weak codes stay below 3^28 for n <= 8 and masks below 2^49
-    for n <= 7; at n = 8 P is split into the low and the high 32 bits."""
-    P, W = _image_matrices(n)
+    """Image-power matrix P and image-weight matrix W of G on the n x n
+    grid in float64, cached and read-only.  For the occupancy bits b of a
+    mask, b @ P holds its image masks, one column per group element, and
+    b @ W the weak codes of its n! relabelings, since weak weights are
+    symmetric and a transposed image has the code of its relabeling.  Row
+    g of ``_group_table`` moves cell table[g, c] to cell c, so column g has
+    the power 2^c and the weight of cell c in row table[g, c].  Products
+    are exact while their sums stay below 2^53: weak codes stay below 3^28
+    for n <= 8 and masks below 2^49 for n <= 7; at n = 8 P holds the low 32
+    bits of the images, then the high ones (83 MB, W 21 MB)."""
+    table = _group_table(n)
+    order = len(table)
     width = n * n if n * n <= 53 else 32
-    starts = range(0, n * n, width)
-    Pf = np.empty((n * n, len(starts), P.shape[1]))
-    for k, s in enumerate(starts):
-        Pf[:, k] = P >> np.uint64(s) & np.uint64(2**width - 1)
-    Pf, Wf = Pf.reshape(n * n, -1), W.astype(np.float64)
-    Pf.flags.writeable = Wf.flags.writeable = False
-    return Pf, Wf
+    column = np.arange(order)[:, None]
+    P = np.zeros((n * n, order * (n * n // width)))
+    for k, s in enumerate(range(0, n * n, width)):
+        P[table[:, s:s + width], column + k * order] = 2.0 ** np.arange(width)
+    W = np.zeros((n * n, order // 2))
+    W[table[:order // 2], column[:order // 2]] = _weak_weights(n)
+    P.flags.writeable = W.flags.writeable = False
+    return P, W
 
 
 def _orbit_images(masks, n: int) -> np.ndarray:
@@ -230,7 +224,9 @@ def _colex(n: int) -> tuple[np.ndarray, np.ndarray]:
     for t <= mu(n) and c < 2 mu(n).  A strict mask has mu(n) bits, all
     off-diagonal, so masks order as the colex order of their off-diagonal
     cell indices c_1 < ... < c_mu, and the rank of a mask in that order is
-    sum_t C(c_t, t), the combinatorial number system (Knuth, TAOCP 7.2.1.3)."""
+    sum_t C(c_t, t), the combinatorial number system (Knuth, TAOCP 7.2.1.3).
+    Needs n <= 8."""
+    _require_mask_n(n)
     m = mu(n)
     cells = np.array([(i - 1) * n + j - 1 for i, j in offdiag_cells(n)], np.uint64)
     binom = np.array(
@@ -304,14 +300,15 @@ def _unrank(ranks, n: int) -> np.ndarray:
 
 
 def _class_walk(n: int):
-    """Yield (canonical mask, orbit size) for every class of strict
-    size-mu(n) patterns in increasing canonical mask.  The walk runs over
-    the colex ranks, in increasing mask order, a chunk's unvisited ranks a
-    slice at a time, unranked and imaged in one product.  An unvisited mask
-    is the minimum of its orbit, the representative, exactly when it equals
-    the least of its images; only those images are marked visited, at their
-    ranks, before the next slice, and the orbit size is 2 n! over the number
-    of images equal to the representative, its stabilizer."""
+    """Yield (canonical mask, orbit size, flip key) for every class of
+    strict size-mu(n) patterns in increasing canonical mask.  The walk runs
+    over the colex ranks, in increasing mask order, a chunk's unvisited
+    ranks a slice at a time, unranked and imaged in one product.  An
+    unvisited mask is the minimum of its orbit, the representative, exactly
+    when it equals the least of its images; only those images are marked
+    visited, at their ranks, before the next slice.  The orbit size is 2 n!
+    over the stabilizer, the images equal to the representative, and the
+    flip keys of the slice's representatives are one ``_weak_code``."""
     order = 2 * math.factorial(n)
     visited = np.zeros(strict_count(n), dtype=bool)
     for start in range(0, visited.size, _WALK_CHUNK):
@@ -323,7 +320,8 @@ def _class_walk(n: int):
             masks, images = masks[reps], images[reps]
             visited[_rank(images, n)] = True
             sizes = order // np.count_nonzero(images == masks[:, None], axis=-1)
-            yield from zip(masks.tolist(), sizes.tolist())
+            keys = _weak_code(masks, n)
+            yield from zip(masks.tolist(), sizes.tolist(), keys.tolist())
             fresh = fresh[_WALK_SLICE:]
             fresh = fresh[~visited[fresh]]
 
@@ -346,7 +344,8 @@ def weak_canonical_form(I: Pattern, n: int) -> tuple[int, ...]:
 
 def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[ClassRecord]]:
     """Full census for one size: every orbit with pairing, stabilizer
-    dimension and status, plus aggregate counts."""
+    dimension and status, plus aggregate counts; the number of flip classes
+    is the number of distinct flip keys the walk gives."""
     _require_enum_budget(n, "full classification")
     log = (lambda msg: print(msg, file=sys.stderr)) if progress else (lambda msg: None)
     total = strict_count(n)
@@ -356,7 +355,7 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
     covered = 0
     tally = {STATUS_NONSINGULAR: 0, STATUS_DEFECTIVE: 0, STATUS_EXCEPTIONAL: 0}
     walk = list(_class_walk(n))
-    for rep_mask, orbit_size in walk:
+    for rep_mask, orbit_size, _ in walk:
         rep = Pattern.from_mask(rep_mask, n)
         pairing = pair_with_vandermonde(rep, n)
         sd = stabilizer_dim(rep, n)
@@ -374,12 +373,9 @@ def classify_all(n: int, progress: bool = False) -> tuple[ClassCensus, list[Clas
         raise AssertionError(
             f"the class orbits cover {covered} of the {total} strict patterns"
         )
-    weak_keys = set()
-    for k in range(0, len(walk), _KEY_CHUNK):
-        weak_keys.update(_weak_code([m for m, _ in walk[k:k + _KEY_CHUNK]], n).tolist())
     census = ClassCensus(
         n, total, len(records), tally[STATUS_NONSINGULAR], tally[STATUS_DEFECTIVE],
-        tally[STATUS_EXCEPTIONAL], len(weak_keys),
+        tally[STATUS_EXCEPTIONAL], len({key for _, _, key in walk}),
     )
     return census, records
 
@@ -399,7 +395,7 @@ def _sampled_classes(n: int, sample: int, seed: int) -> list[tuple[int, int]]:
             f"{strict_count(n)} strict patterns of size mu(n)"
         )
     rng = random.Random(seed)
-    bits = [(i - 1) * n + (j - 1) for i, j in offdiag_cells(n)]
+    bits = _colex(n)[0].tolist()
     seen = set()
     draws: dict[int, int] = {}
     while len(seen) < sample:
@@ -423,6 +419,10 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
     difference product is the Vandermonde expansion up to sign (the full
     simple patterns).
 
+    A sample may miss the bound, so its own extremes prove nothing: the
+    scanned classes that attain n!, in the pairing and in the norm, must be
+    the simple ones, and exhaustively the 2^mu(n) full simple patterns.
+
     |pairing|, the norm and simplicity are class invariants (relabeling
     permutes the variables, transposition multiplies chi by (-1)^mu), so both
     modes scan classes, each weighted by the patterns it stands for: its
@@ -432,7 +432,7 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
         classes = _sampled_classes(n, sample, seed)
     else:
         _require_enum_budget(n, "an exhaustive scan", "; pass a sample")
-        classes = list(_class_walk(n))
+        classes = [(mask, size) for mask, size, _ in _class_walk(n)]
     nfact = math.factorial(n)
     groups = []
     for mask, weight in classes:
@@ -440,14 +440,14 @@ def scan_extremal(n: int, sample: int | None = None, seed: int = 0) -> dict:
         groups.append((I, weight, abs(pair_with_vandermonde(I, n)), norm_squared(I, n)))
     max_pair = max((p for _, _, p, _ in groups), default=None)
     min_norm = min((q for _, _, _, q in groups), default=None)
-    argmax = [(I, w) for I, w, p, _ in groups if p == max_pair]
-    argmin = [(I, w) for I, w, _, q in groups if q == min_norm]
     counterexample = next(
         (I for I, _, p, q in groups if p > nfact or q < nfact), None
     )
-    extremes_simple = all(I.is_simple() for I, _ in argmax + argmin)
-    num_argmax = sum(w for _, w in argmax)
-    num_argmin = sum(w for _, w in argmin)
+    extremes_simple = all(
+        I.is_simple() == (p == nfact) == (q == nfact) for I, _, p, q in groups
+    )
+    num_argmax = sum(w for _, w, p, _ in groups if p == max_pair)
+    num_argmin = sum(w for _, w, _, q in groups if q == min_norm)
     # exhaustively, the attaining sets must be exactly the full simple patterns
     bound_attained = sample is not None or (
         max_pair == min_norm == nfact and num_argmax == num_argmin == 2 ** mu(n)

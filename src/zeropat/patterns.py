@@ -37,7 +37,7 @@ def grid_cells(n: int) -> tuple[Position, ...]:
 class Pattern:
     """An immutable finite set of 1-based matrix positions."""
 
-    __slots__ = ("_positions", "_sorted")
+    __slots__ = ("_sorted",)
 
     def __init__(self, positions: Iterable[Sequence[int]] = ()):
         pos = set()
@@ -48,7 +48,6 @@ class Pattern:
             if i < 1 or j < 1:
                 raise ValueError(f"position indices are 1-based, got {p!r}")
             pos.add((i, j))
-        self._positions = frozenset(pos)
         self._sorted = tuple(sorted(pos))
 
     @property
@@ -59,18 +58,18 @@ class Pattern:
         return iter(self._sorted)
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return len(self._sorted)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self._positions
+        return tuple(p) in self._sorted
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pattern):
             return NotImplemented
-        return self._positions == other._positions
+        return self._sorted == other._sorted
 
     def __hash__(self) -> int:
-        return hash(self._positions)
+        return hash(frozenset(self._sorted))
 
     def __repr__(self) -> str:
         return f"Pattern({list(self.positions)!r})"
@@ -79,37 +78,36 @@ class Pattern:
 
     def is_strict(self) -> bool:
         """True when the pattern holds no diagonal position."""
-        return all(i != j for i, j in self._positions)
+        return all(i != j for i, j in self._sorted)
 
     def is_proper(self, n: int) -> bool:
         """True when at least one diagonal position of the n x n grid is free."""
         self.check_within(n)
-        return any((i, i) not in self._positions for i in range(1, n + 1))
+        return any((i, i) not in self._sorted for i in range(1, n + 1))
 
     def is_simple(self) -> bool:
         """True when no position occurs together with its mirror."""
-        return all((j, i) not in self._positions for i, j in self._positions)
+        return self.complexity() == 0
 
     def complexity(self) -> int:
-        """Number of unordered pairs {i, j}, i <= j, doubled in the pattern."""
-        return sum(
-            1
-            for i, j in self._positions
-            if i <= j and (j, i) in self._positions
-        )
+        """Number of unordered pairs {i, j}, i <= j, doubled in the pattern:
+        a diagonal position is its own mirror, and every other doubled pair
+        takes two positions but one unordered pair."""
+        pairs = {(i, j) if i < j else (j, i) for i, j in self._sorted if i != j}
+        return len(self._sorted) - len(pairs)
 
     def check_within(self, n: int) -> None:
         """ValueError unless n >= 1 and every position lies in the n x n grid."""
         if n < 1:
             raise ValueError(f"grid size must be at least 1, got {n}")
-        for i, j in self._positions:
+        for i, j in self._sorted:
             if i > n or j > n:
                 raise ValueError(f"position {(i, j)} outside the {n} x {n} grid")
 
     # -- transformations ----------------------------------------------------
 
     def transpose(self) -> "Pattern":
-        return Pattern((j, i) for i, j in self._positions)
+        return Pattern((j, i) for i, j in self._sorted)
 
     def apply_perm(self, perm: Sequence[int]) -> "Pattern":
         """Relabel rows and columns simultaneously by a permutation of {1..n}."""
@@ -117,20 +115,20 @@ class Pattern:
             raise ValueError(f"not a permutation: {perm!r}")
         n = len(perm)
         self.check_within(n)
-        return Pattern((perm[i - 1], perm[j - 1]) for i, j in self._positions)
+        return Pattern((perm[i - 1], perm[j - 1]) for i, j in self._sorted)
 
     def flip(self, p: Sequence[int]) -> "Pattern":
         """Replace position p by its mirror; p must be present, its mirror absent."""
         i, j = p
-        if (i, j) not in self._positions:
+        if (i, j) not in self._sorted:
             raise ValueError(f"flip not allowed: {(i, j)} not in pattern")
-        if (j, i) in self._positions:
+        if (j, i) in self._sorted:
             raise ValueError(f"flip not allowed: mirror {(j, i)} already present")
-        return Pattern((self._positions - {(i, j)}) | {(j, i)})
+        return Pattern((j, i) if q == (i, j) else q for q in self._sorted)
 
     def translate(self, offset: Sequence[int]) -> "Pattern":
         di, dj = offset
-        moved = [(i + di, j + dj) for i, j in self._positions]
+        moved = [(i + di, j + dj) for i, j in self._sorted]
         if any(i < 1 or j < 1 for i, j in moved):
             raise ValueError(f"translate by {(di, dj)} leaves the positive grid")
         return Pattern(moved)
@@ -141,7 +139,7 @@ class Pattern:
         """Occupancy bitmask over the n x n grid, bit (i-1)*n + (j-1)."""
         self.check_within(n)
         m = 0
-        for i, j in self._positions:
+        for i, j in self._sorted:
             m |= 1 << ((i - 1) * n + (j - 1))
         return m
 
@@ -161,7 +159,7 @@ class Pattern:
             pos.append(cells[low.bit_length() - 1])
             mask ^= low
         I = Pattern.__new__(Pattern)
-        I._positions, I._sorted = frozenset(pos), tuple(pos)
+        I._sorted = tuple(pos)
         return I
 
     def to_json(self) -> list[list[int]]:

@@ -20,7 +20,6 @@ from .classify import (
     MAX_ENUM_N,
     STATUS_EXCEPTIONAL,
     _class_walk,
-    _weak_code,
     canonical_form,
     classify_all,
     load_expected,  # noqa: F401  (read here by the benchmark and the tests)
@@ -366,12 +365,11 @@ def check_complexity_one(n: int) -> dict:
     if n <= MAX_ENUM_N:
         # complexity is a class invariant, so whole classes are in or out
         ones = [
-            (m, size) for m, size in _class_walk(n)
+            (size, key) for m, size, key in _class_walk(n)
             if Pattern.from_mask(m, n).complexity() == 1
         ]
-        report["num_complexity_one_patterns"] = sum(size for _, size in ones)
-        codes = _weak_code([m for m, _ in ones], n).tolist()
-        report["num_weak_classes"] = len(set(codes))
+        report["num_complexity_one_patterns"] = sum(size for size, _ in ones)
+        report["num_weak_classes"] = len({key for _, key in ones})
     else:
         report["num_weak_classes"] = None
     report["passed"] = (

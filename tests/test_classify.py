@@ -55,7 +55,7 @@ def census5():
 
 @pytest.fixture
 def drop_float_images():
-    """Clear the cached float image matrices after the test, 123 MB at
+    """Clear the cached float image matrices after the test, 103 MB at
     n = 8."""
     yield
     classify._float_images.cache_clear()
@@ -114,7 +114,8 @@ def orbit_images_by_gather(mask, n):
 
 def class_walk_by_entry_loop(n):
     """Oracle for _class_walk: every strict mask in turn, and for each one
-    not yet visited its gathered orbit, deduplicated by np.unique."""
+    not yet visited its gathered orbit, deduplicated by np.unique, and its
+    flip key, the least weak code over that orbit."""
     masks = strict_masks_by_combinations(n)
     visited = np.zeros(masks.size, dtype=bool)
     classes = []
@@ -122,7 +123,8 @@ def class_walk_by_entry_loop(n):
         if not visited[k]:
             orbit = np.unique(orbit_images_by_gather(int(masks[k]), n))
             visited[np.searchsorted(masks, orbit)] = True
-            classes.append((int(masks[k]), int(orbit.size)))
+            key = (classify._cell_bits(orbit, n) @ classify._weak_weights(n)).min()
+            classes.append((int(masks[k]), int(orbit.size), int(key)))
     return classes
 
 
@@ -240,22 +242,6 @@ def test_strict_masks_match_the_combinations():
         assert np.array_equal(masks, strict_masks_by_combinations(n))
 
 
-def test_image_matrices_match_the_gather_table():
-    rng = random.Random(5)
-    for n in range(2, 9):
-        P, W = classify._image_matrices(n)
-        assert P.shape == W.shape == (n * n, 2 * math.factorial(n))
-        masks = [rng.getrandbits(n * n) for _ in range(2 if n == 8 else 12)]
-        for m in masks + [0, (1 << n * n) - 1]:
-            images = orbit_images_by_gather(m, n)
-            assert np.array_equal(classify._cell_bits(m, n) @ P, images)
-            # the flip code of the mask alone is the least weak code over its
-            # gathered orbit; test_float_image_products_are_exact checks the
-            # products that _weak_code takes
-            weak = classify._cell_bits(images, n) @ classify._weak_weights(n)
-            assert (classify._cell_bits(m, n) @ W).min() == weak.min()
-
-
 def test_rank_of_the_strict_masks_is_their_index():
     for n in (2, 3, 4, 5):
         masks = classify._unrank(np.arange(strict_count(n)), n)
@@ -309,9 +295,9 @@ def test_class_walk_matches_the_entry_loop(monkeypatch):
 
 def test_class_walk_prefix_at_n6():
     walk = list(itertools.islice(classify._class_walk(6), 2000))
-    masks = [m for m, _ in walk]
+    masks = [m for m, _, _ in walk]
     assert all(a < b for a, b in zip(masks, masks[1:]))
-    for mask, size in walk:
+    for mask, size, _ in walk:
         assert canonical_form(Pattern.from_mask(mask, 6), 6).mask(6) == mask
         assert size == np.unique(orbit_images_by_gather(mask, 6)).size
 
@@ -329,10 +315,18 @@ def test_float_image_products_are_exact(n, drop_float_images):
     codes = classify._weak_code(masks, n)
     for m, row, code in zip(masks, images, codes.tolist()):
         assert np.array_equal(classify._orbit_images(m, n), row)
+        # W takes only the n! relabelings, yet its least code is the least
+        # over all 2 n! gathered images
         weak = classify._cell_bits(row, n) @ classify._weak_weights(n)
         assert classify._weak_code(m, n) == code == weak.min()
     # the largest weak code, every pair doubled: 3^mu(n) - 1, 3^28 - 1 at n = 8
     assert int(classify._weak_code(top, n)) == 3 ** mu(n) - 1
+    P, W = classify._float_images(n)
+    assert not P.flags.writeable and not W.flags.writeable
+    assert P.shape == (n * n, 2 * math.factorial(n) * (2 if n == 8 else 1))
+    assert W.shape == (n * n, math.factorial(n))
+    # at n = 8: P as two 32-bit halves, 82.6 MB, and W, 20.6 MB
+    assert P.nbytes + W.nbytes <= 104e6
 
 
 def test_census_makes_one_pairing_and_one_stabilizer_call_per_class(monkeypatch):
@@ -432,17 +426,12 @@ def test_weak_form_matches_flip_bfs():
         assert len(by_key) == len(set(roots.values()))
 
 
-def test_census_flip_key_count_matches_the_weak_forms(census5, monkeypatch):
-    # the census counts flip keys over blocks of representatives, 880 at n = 5
+def test_census_flip_key_count_matches_the_weak_forms(census5):
+    # the census counts the flip keys the walk gives, 880 at n = 5
     for n in (2, 3, 4, 5):
         census, records = census5 if n == 5 else classify_all(n)
         forms = {weak_canonical_form(r.canonical, n) for r in records}
         assert census.num_weak_classes == len(forms), n
-    monkeypatch.setattr(classify, "_KEY_CHUNK", 7)
-    census, records = classify_all(4)
-    assert census.num_weak_classes == len(
-        {weak_canonical_form(r.canonical, 4) for r in records}
-    ) == 12
 
 
 def test_census_small():
@@ -570,6 +559,32 @@ def test_extremal_scan_matches_the_pattern_loop():
         scan_extremal(6)
 
 
+@pytest.mark.parametrize("n, sample, seeds", [(5, 20, range(1, 6)), (6, 50, [1])])
+def test_a_sample_that_misses_the_bound_passes(n, sample, seeds):
+    # a small sample may meet no class that attains n!; its own extremes
+    # then prove nothing, and the scan must not fail them
+    for seed in seeds:
+        rep = scan_extremal(n, sample=sample, seed=seed)
+        assert rep["passed"] and rep["counterexample"] is None, (seed, rep)
+
+
+@pytest.mark.parametrize("sample", [None, 200])
+def test_extremal_scan_fails_a_planted_defect(monkeypatch, sample):
+    def bound(I, n):
+        return math.factorial(n)
+
+    # a non-simple class attains n!: every class does
+    monkeypatch.setattr(classify, "pair_with_vandermonde", bound)
+    monkeypatch.setattr(classify, "norm_squared", bound)
+    rep = scan_extremal(4, sample=sample, seed=1)
+    assert rep["counterexample"] is None and not rep["passed"]
+    # a simple class misses n!: no class attains it
+    monkeypatch.setattr(classify, "pair_with_vandermonde", lambda I, n: 0)
+    monkeypatch.setattr(classify, "norm_squared", lambda I, n: bound(I, n) + 1)
+    rep = scan_extremal(4, sample=sample, seed=1)
+    assert rep["counterexample"] is None and not rep["passed"]
+
+
 def test_extremal_sampled():
     rep = scan_extremal(5, sample=500, seed=0)
     assert rep["passed"]
@@ -581,6 +596,9 @@ def test_extremal_sampled():
     for sample in (0, -1):
         with pytest.raises(ValueError, match="at least one pattern"):
             scan_extremal(3, sample=sample)
+    # past the 64-bit masks the sample is refused before any table is built
+    with pytest.raises(ValueError, match="64-bit: need 1 <= n <= 8, got 9"):
+        scan_extremal(9, sample=1)
 
 
 def search_nonsingular_extension(I, n):
