@@ -394,16 +394,20 @@ def _jacobian_table(n: int, rows, cols) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _pattern_jacobian(B: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _pattern_jacobian(B: np.ndarray, table: np.ndarray, work=None) -> np.ndarray:
     """Jacobian of the real and imaginary parts of the pattern entries of
     exp(-S) B exp(S) at S = 0, for each matrix of the stack B of shape
     (n, n, R), in the coordinates of the skew-hermitian basis: shape
     (2k, n^2, R).  It is linear in B, so the whole stack takes one real
-    matrix product with the ``_jacobian_table`` of the pattern."""
-    n2 = B.shape[0] * B.shape[1]
-    Bf = B.reshape(n2, -1)
-    J = table @ np.concatenate([Bf.real, Bf.imag])
-    return J.reshape(-1, n2, Bf.shape[1])
+    matrix product with the ``_jacobian_table`` of the pattern.  The parts
+    [Re B; Im B] and J go into the ``_Workspace`` work when one is given."""
+    n2, R = B.shape[0] * B.shape[1], B.shape[-1]
+    Bf = B.reshape(n2, R)
+    parts = _slot(work, "parts", (2 * n2, R))
+    np.copyto(parts[:n2], Bf.real)
+    np.copyto(parts[n2:], Bf.imag)
+    J = np.matmul(table, parts, out=_slot(work, "J", (table.shape[0], R)))
+    return J.reshape(-1, n2, R)
 
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
@@ -411,9 +415,9 @@ def _pattern_jacobian(B: np.ndarray, table: np.ndarray) -> np.ndarray:
 #: live starts that one Gauss-Newton iteration reduces together: the first
 #: _BLOCK in restart order, refilled as starts finish.  A fixed window bounds
 #: the memory of the stacked Jacobians and trial matrices whatever the restart
-#: budget, and refilling keeps it full while slow starts run to max_iter.  At
-#: n = 3 a window start costs about 1.3 kB at the iteration's peak, while
-#: ``_exp3_trials`` forms its matrices, so a full window takes under 3 MB.
+#: budget, and refilling keeps it full while slow starts run to max_iter.  The
+#: window's stacks live in one ``_Workspace`` per reducer call, 1152 bytes
+#: per start at n = 3, so a full window takes 2.36 MB, allocated once.
 #: 2048 holds the default budget of 2000 restarts in one window.  Every
 #: iteration and every trial step length pays a fixed cost of a few dozen
 #: small numpy calls once per window, so one window pays it about half as
@@ -433,8 +437,9 @@ TORUS_TOL = 1e-7
 FLAG_TOL = 1e-4
 
 #: restarts one count accepts at most: every start is drawn and held at
-#: once, about 1.2 kB each, so 10**6 restarts take about 1.2 GB; only the
-#: _BLOCK starts of the window add the stacks of an iteration
+#: once, and the Haar draws peak at about 0.8 kB per start (6.16 MB traced
+#: at 8000), so 10**6 restarts take about 0.8 GB; only the _BLOCK starts of
+#: the window add the workspace of the iterations
 MAX_RESTARTS = 10**6
 
 #: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
@@ -519,7 +524,84 @@ def random_cyclic_subspace(rng) -> np.ndarray:
 # length m.  A single matrix enters a product with such stacks as (n, m, 1).
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The memory of one ``gauss_newton_reduce`` call: one flat float buffer,
+    allocated once for ``width`` starts, that each iteration carves into the
+    C-contiguous stacks of its window.  A slot is a run of floats per start,
+    and a stack of w starts in it is that run scaled by w, so slots laid out
+    one after another never overlap when carved at one width.  Each row of
+    ``layout`` is so laid out, and rows reuse the floats of slots whose
+    contents are dead by then; names that share one slot within a row are
+    listed together, in the order they take it:
+
+    - solve: J from [Re B; Im B] from the gathered window of B; then, over
+      those two, the Gram table T with its scratch row, the window's
+      residuals, the Cholesky diagonal and the step coefficients;
+    - exponential (n = 3): the step X and then H0 in one slot, which
+      U H0^2 takes once U H0 is formed, K, the window of U, U H0, H0^2, and
+      last the trial matrices N.  P = [Re X; Im X] and the scratch of
+      ``_mm`` take the floats of N until N is formed, and P misses the
+      coefficients it is formed from;
+    - line search: a trial point, its gathered N_j, which the conjugation's
+      A U then takes, and the conjugation's U*, result and scratch; carved
+      at the width of the starts still searching, at most the window's, so
+      before N.  A U and U* then hold the accepted points;
+    - polish: U*, U* U, U U* U and a scratch, over chunks of ``width``
+      endpoints.
+
+    Without a workspace (``work`` None, as the tests call them) the kernels
+    allocate fresh arrays: ``_slot`` stands for both."""
+
+    def __init__(self, n: int, m: int, width: int):
+        d = 2 * n * n  # floats per start of an n x n complex stack
+        J = ("J", m * d // 2)
+        exp = [("X H0 UH0sq", d), ("K", d), ("U", d), ("UH0", d), ("H0sq", d)]
+        layout = [
+            [J, ("B", d), ("parts", d)],
+            [J, ("T", m * (m + 1)), ("row", m + 1), ("r", m), ("diag", m),
+             ("coef", d // 2)],
+            exp + [("N", 3 * d)],
+            exp + [("P", d), ("mm", d)],
+            [("U2", d), ("Nj AU", d), ("adj", d), ("B2", d), ("mm2", d)],
+            [("Ustar", d), ("UstarU", d), ("UUstarU", d), ("S", d)],
+        ]
+        self.slots, size = {}, 0
+        for row in layout:
+            offset = 0
+            for names, floats in row:
+                # even offsets keep complex slots 16-byte aligned
+                floats += floats % 2
+                for name in names.split():
+                    slot = self.slots.setdefault(name, (offset, floats))
+                    assert slot == (offset, floats), f"{name} moves between rows"
+                offset += floats
+            size = max(size, offset)
+        (c, c_floats), (p, _) = self.slots["coef"], self.slots["P"]
+        assert c + c_floats <= p or c >= p + d
+        assert self.slots["mm2"][0] + d <= self.slots["N"][0]
+        self.width = width
+        self.buf = np.empty(size * width)
+
+    def take(self, name: str, shape: tuple, dtype=float, width=None) -> np.ndarray:
+        """An empty stack of the given shape, the stack axis last, in the
+        floats of slot ``name`` carved at ``width`` starts (by default the
+        stack's own), which may exceed the stack's."""
+        offset, floats = self.slots[name]
+        w = shape[-1]
+        width = w if width is None else width
+        per_start = math.prod(shape[:-1]) * np.dtype(dtype).itemsize // 8
+        assert per_start <= floats and w <= width <= self.width
+        start = offset * width
+        return self.buf[start : start + per_start * w].view(dtype).reshape(shape)
+
+
+def _slot(work: _Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An empty array of the given shape: slot ``name`` of the workspace
+    work, or a fresh array without one."""
+    return np.empty(shape, dtype) if work is None else work.take(name, shape, dtype)
+
+
+def _mm(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """a @ b for stacks of small matrices of shapes (n, l, ...) and
     (l, m, ...), with broadcasting stack axes, as a sum of l broadcast outer
     products.  This is for products whose two factors both vary over the
@@ -528,24 +610,32 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     operations over the whole stack.  A fixed left factor F instead takes
     one BLAS call for the whole stack, F @ b.reshape(l, -1) (as in
     ``_conjugates``), and so does a fixed linear map of the stack's entries
-    (``_pattern_jacobian``, ``_skew_combinations``)."""
-    out = a[:, 0, None] * b[0]
+    (``_pattern_jacobian``, ``_skew_combinations``).  Given arrays of the
+    product's shape, the product goes into out and each outer product into
+    scratch, with the same bits."""
+    out = np.multiply(a[:, 0, None], b[0], out=out)
     for k in range(1, a.shape[1]):
-        out += a[:, k, None] * b[k]
+        out += np.multiply(a[:, k, None], b[k], out=scratch)
     return out
 
 
-def _adjoint(U: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix of a stack."""
-    return U.conj().swapaxes(0, 1)
+def _adjoint(U: np.ndarray, out=None) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack, a view of the
+    conjugates written into out (a fresh array when out is None)."""
+    return np.conjugate(U, out=out).swapaxes(0, 1)
 
 
-def _conjugates(A: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _conjugates(A: np.ndarray, U: np.ndarray, work=None) -> np.ndarray:
     """U* A U for a stack of unitaries U of shape (n, n, R): A U is one
-    matrix product over the stack, U* (A U) a product per start."""
-    n = A.shape[0]
-    AU = (A @ U.reshape(n, -1)).reshape(U.shape)
-    return _mm(_adjoint(U), AU)
+    matrix product over the stack, U* (A U) a product per start.  A U, U*,
+    the result and the scratch of the product take their slots of the
+    ``_Workspace`` work when one is given."""
+    n, shape = A.shape[0], U.shape
+    AU = _slot(work, "AU", shape, complex)
+    np.matmul(A, U.reshape(n, -1), out=AU.reshape(n, -1))
+    adj = _adjoint(U, _slot(work, "adj", shape, complex))
+    out, scratch = (_slot(work, name, shape, complex) for name in ("B2", "mm2"))
+    return _mm(adj, AU, out, scratch)
 
 
 def _basis_table(n: int) -> np.ndarray:
@@ -556,14 +646,16 @@ def _basis_table(n: int) -> np.ndarray:
     return np.concatenate([S.real, S.imag])
 
 
-def _skew_combinations(table: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _skew_combinations(table: np.ndarray, coef: np.ndarray, work=None) -> np.ndarray:
     """The skew-hermitian matrices sum_b coef[b, r] S_b, shape (n, n, R), from
     the coefficients coef of shape (n^2, R) and the ``_basis_table`` of
     the S_b: one real matrix product over the stack."""
-    n2 = table.shape[1]
+    n2, R = table.shape[1], coef.shape[1]
     n = math.isqrt(n2)
-    P = table @ coef
-    return (P[:n2] + 1j * P[n2:]).reshape(n, n, -1)
+    P = np.matmul(table, coef, out=_slot(work, "P", (2 * n2, R)))
+    X = np.multiply(1j, P[n2:], out=_slot(work, "X", (n2, R), complex))
+    np.add(P[:n2], X, out=X)
+    return X.reshape(n, n, R)
 
 
 def _det3(M: np.ndarray) -> np.ndarray:
@@ -576,10 +668,16 @@ def _det3(M: np.ndarray) -> np.ndarray:
     )
 
 
-def _columns(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _columns(a: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
     """The stack a at the sorted distinct stack indices k: a itself, with no
-    copy, when k takes every matrix of the stack."""
-    return a if k.size == a.shape[-1] else a[..., k]
+    copy, when k takes every matrix of the stack, else a gather into out
+    (a fresh array when out is None)."""
+    if k.size == a.shape[-1]:
+        return a
+    if out is None:
+        return a[..., k]
+    # mode="clip" writes straight into out, where "raise" buffers it
+    return np.take(a, k, axis=-1, out=out, mode="clip")
 
 
 def _eigh_trials(U: np.ndarray, X: np.ndarray):
@@ -595,7 +693,7 @@ def _eigh_trials(U: np.ndarray, X: np.ndarray):
     )
 
 
-def _exp3_trials(U: np.ndarray, X: np.ndarray):
+def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
     """The map (t, k) -> U[..., k] exp(t X[..., k]) for stacks of 3 x 3
     matrices, in the closed form of Morningstar and Peardon (Phys. Rev. D
     69, 054501, 2004), with no per-matrix LAPACK call.
@@ -617,11 +715,17 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
     start that do not depend on t: a trial length only scales a + 2u, a - u
     and w.  S is t where w = 0: a computed w of 0 may stand for a true split
     of about sqrt(eps) |H0|, whose N2 term S keeps.  A zero H0 (possible on
-    the SVD step) gives f = (1, 0, 0), so X = 0 gives U exactly."""
-    H0 = -1j * X
+    the SVD step) gives f = (1, 0, 0), so X = 0 gives U exactly.
+
+    With a ``_Workspace`` work, H0 overwrites X, which the reducer forms in
+    the same slot, and H0^2, K, U H0, U H0^2, N and each trial point take
+    their slots."""
+    shape = X.shape
+    H0 = np.multiply(-1j, X, out=_slot(work, "H0", shape, complex))
     a = np.trace(H0).real / 3
     H0 -= np.eye(3)[..., None] * a
-    H0sq = _mm(H0, H0)
+    mm = _slot(work, "mm", shape, complex)
+    H0sq = _mm(H0, H0, _slot(work, "H0sq", shape, complex), mm)
     c1 = np.trace(H0sq).real / 2
     c0 = _det3(H0).real
     r = np.sqrt(c1 / 3)
@@ -634,23 +738,25 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
     D = 9 * uu - ww
     flat = D == 0
     inv = np.divide(1.0, D, out=np.zeros_like(D), where=~flat)
-    one = np.ones_like(u)
     # K[j, i] is the coefficient of the j-th of E, F cos(t w), F S in
     # f_i t^i, and f0 = E where H0 = 0
-    K = inv * np.array(
-        [
-            [uu - ww, 2 * u, one],
-            [8 * uu, -2 * u, -one],
-            [2j * u * (3 * uu + ww), 1j * (3 * uu - ww), -3j * u],
-        ]
-    )
+    K = _slot(work, "K", (3, 3) + u.shape, complex)
+    K[0, 0], K[0, 1], K[0, 2] = uu - ww, 2 * u, 1
+    K[1, 0], K[1, 1], K[1, 2] = 8 * uu, -2 * u, -1
+    K[2, 0], K[2, 1], K[2, 2] = 2j * u * (3 * uu + ww), 1j * (3 * uu - ww), -3j * u
+    np.multiply(inv, K, out=K)
     K[0, 0] += flat
     # N_j = sum_i K[j, i] M_i with M = (U, U H0, U H0^2), as three
     # contiguous linear combinations built in place: N_2 holds the products
-    # of N_0 and N_1 until M_1 and M_2, no longer needed, take their own
-    M = (U, _mm(U, H0), _mm(U, H0sq))
+    # of N_0 and N_1 until M_1 and M_2, no longer needed, take their own.
+    # M_1 comes first: in a workspace, M_2 takes the slot of H0
+    M = (
+        U,
+        _mm(U, H0, _slot(work, "UH0", U.shape, complex), mm),
+        _mm(U, H0sq, _slot(work, "UH0sq", U.shape, complex), mm),
+    )
     del H0, H0sq
-    N = np.empty((3,) + U.shape, dtype=complex)
+    N = _slot(work, "N", (3,) + U.shape, complex)
     for j in range(2):
         np.multiply(K[j, 0], M[0], out=N[j])
         for i in (1, 2):
@@ -666,12 +772,19 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray):
     winv = 1 / np.where(still, 1.0, w)
 
     def trial(t, k):
-        Ck, Nk, wk = (_columns(v, k) for v in (C, N, winv))
-        top, mid, tw, s0 = Ck * t
+        top, mid, tw, s0 = _columns(C, k) * t
         F = np.exp(1j * mid)
-        U2 = np.exp(1j * top) * Nk[0]
-        U2 += F * np.cos(tw) * Nk[1]
-        U2 += F * (np.sin(tw) * wk + s0) * Nk[2]
+        # each N_j of the searching starts is gathered into Nj in turn
+        shape = (9, k.size)
+        Nj = _slot(work, "Nj", shape, complex)
+        U2 = np.multiply(
+            np.exp(1j * top), _columns(N[0], k, Nj),
+            out=_slot(work, "U2", shape, complex),
+        )
+        U2 += np.multiply(F * np.cos(tw), _columns(N[1], k, Nj), out=Nj)
+        U2 += np.multiply(
+            F * (np.sin(tw) * _columns(winv, k) + s0), _columns(N[2], k, Nj), out=Nj
+        )
         return U2.reshape(3, 3, -1)
 
     return trial
@@ -684,39 +797,48 @@ def _residuals(B: np.ndarray, rows, cols) -> np.ndarray:
     return np.concatenate([vals.real, vals.imag])
 
 
-def _min_norm_steps(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _min_norm_steps(
+    J: np.ndarray, r: np.ndarray, work=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solutions x of J x = -r for a stack J of
     shape (m, d, R) with m <= d and r of shape (m, R), as
     ``lstsq(J, -r, rcond=None)`` gives them.
 
     A Jacobian of full row rank has x = J^T y with (J J^T) y = -r, solved by
     a Cholesky of the m x m Gram matrix done column by column across the
-    stack; the Gram matrices come from one einsum, not a stacked matmul,
-    which would call BLAS once per matrix.  A Jacobian with a pivot below
+    stack; the Gram matrices come from one einsum per row, not a stacked
+    matmul, which would call BLAS once per matrix, and only their upper
+    triangles are formed and eliminated.  A Jacobian with a pivot below
     _GRAM_PIVOT times the mean Gram diagonal may be rank-deficient, where
     only a truncated SVD gives the right step; the SVD runs on those starts
     alone.  Returns (x, svd_rows), the steps of shape (d, R) and the mask of
-    the starts the SVD solved."""
+    the starts the SVD solved.  T, its scratch row, the Cholesky diagonal
+    and x go into the ``_Workspace`` work when one is given."""
     m, R = J.shape[0], J.shape[2]
-    # [G | -r], eliminated in place: row j ends as row j of L^T followed by
-    # the forward solution z_j of L z = -r
-    T = np.empty((m, m + 1, R))
-    T[:, :m] = np.einsum("ibr,jbr->ijr", J, J)
-    T[:, m] = -r
+    # the upper triangle of [G | -r], eliminated in place: row j ends as row
+    # j of L^T followed by the forward solution z_j of L z = -r.  The
+    # eliminations read only that triangle, and the scratch row holds each
+    # update's products
+    T = _slot(work, "T", (m, m + 1, R))
+    for i in range(m):
+        np.einsum("br,jbr->jr", J[i], J[i:], out=T[i, i:m])
+    np.negative(r, out=T[:, m])
+    row = _slot(work, "row", (m + 1, R))
     floor = _GRAM_PIVOT * np.trace(T[:, :m]) / m
     ok = np.ones(R, dtype=bool)
-    diag = np.empty((m, R))
+    diag = _slot(work, "diag", (m, R))
     for j in range(m):
         ok &= T[j, j] > floor
-        diag[j] = np.sqrt(np.where(ok, T[j, j], 1.0))
+        np.sqrt(np.where(ok, T[j, j], 1.0), out=diag[j])
         T[j, j:] /= diag[j]
-        T[j + 1 :, j + 1 :] -= T[j, j + 1 : m, None] * T[j, None, j + 1 :]
+        for i in range(j + 1, m):
+            T[i, i:] -= np.multiply(T[j, i], T[j, i:], out=row[i:])
     # back substitution L^T y = z
     y = T[:, m]
     for j in range(m - 1, -1, -1):
         y[j] /= diag[j]
-        y[:j] -= T[:j, j] * y[j]
-    x = np.einsum("ibr,ir->br", J, y)
+        y[:j] -= np.multiply(T[:j, j], y[j], out=row[:j])
+    x = np.einsum("ibr,ir->br", J, y, out=_slot(work, "coef", J.shape[1:]))
     svd_rows = ~ok
     if svd_rows.any():
         # truncated where lstsq(rcond=None) truncates
@@ -770,30 +892,42 @@ def gauss_newton_reduce(
     The stacks are held with the stack axis last (see ``_mm``) and returned
     with it first.  Each iteration steps the first _BLOCK live starts in
     restart order, so the window refills from the waiting starts as others
-    stop, and the stacked arrays never hold more than _BLOCK starts.  An
-    iteration drops the Jacobians once the steps are solved and its trial
-    matrices before the next iteration starts, and takes a window or a
-    trial's starts without a copy when they are the whole stack
-    (``_columns``), so memory peaks at one window's trial matrices on top of
-    the held starts.  The starts share no state, but a start's place in the
-    stack can change the rounding of the product A @ U and of the residual
-    and Gram ``einsum`` calls, so its path depends on the window at rounding
-    level: on panel matrix 2 of the flags3 benchmark, a window of 37 moves
-    endpoints by up to 5.5e-14 and changes the step counts of stalled
-    starts, though no start switches between converged and not.
+    stop, and the stacked arrays never hold more than _BLOCK starts.  Every
+    stack of an iteration, from the gathered window to the Jacobians, the
+    Gram tables, the trial matrices and the points and conjugates of the
+    line search, lives in one ``_Workspace``, allocated once per call at the
+    window's width, whose phases reuse the same memory; an iteration
+    allocates only arrays of a few floats per start.  A window or a trial's
+    starts that are the whole stack are read without a copy (``_columns``),
+    the accepted points of a step length are written back by one integer
+    index, and the Newton-Schulz step runs in place through the workspace,
+    so memory peaks at the workspace, 1152 bytes per window start at n = 3,
+    on top of the held starts.  The starts are stepped in place in a
+    C-contiguous stack-last copy of U0, and the reference to U0 is dropped
+    once the copy is made, so a caller that keeps none, as
+    ``count_reductions``, holds the starts once.  The starts share no state,
+    but a start's place in the stack can change the rounding of the product
+    A @ U and of the residual and Gram ``einsum`` calls, so its path depends
+    on the window at rounding level: on panel matrix 2 of the flags3
+    benchmark, a window of 37 moves endpoints by up to 5.5e-14 and changes
+    the step counts of stalled starts, though no start switches between
+    converged and not.
 
     Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
     each, their squared residuals and the number of steps each start took.
     """
+    # C order, so a window's gather by np.take does not copy the whole stack
+    U = np.array(np.moveaxis(U0, 0, -1), dtype=complex, order="C")
+    del U0
     n = A.shape[0]
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
     cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
     jacobian_table, basis_table = _jacobian_table(n, rows, cols), _basis_table(n)
-    U = np.array(np.moveaxis(U0, 0, -1), dtype=complex)
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
     r2 = np.einsum("ir,ir->r", r, r)
-    R = U.shape[-1]
+    R, m = U.shape[-1], r.shape[0]
+    work = _Workspace(n, m, min(R, _BLOCK))
     steps = np.zeros(R, dtype=np.intp)
     live = np.ones(R, dtype=bool)
     while True:
@@ -803,39 +937,40 @@ def gauss_newton_reduce(
         idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
-        # each stack of the window is dropped once the next is formed, and
-        # the trial matrices before the next window's Jacobians, so an
-        # iteration peaks while the trial matrices are formed
-        J = _pattern_jacobian(_columns(B, idx), jacobian_table)
-        coef, _ = _min_norm_steps(J, _columns(r, idx))
-        del J
-        X = _skew_combinations(basis_table, coef)
-        del coef
-        trial = (_exp3_trials if n == 3 else _eigh_trials)(_columns(U, idx), X)
-        del X
-        searching = np.ones(idx.size, dtype=bool)
+        w = idx.size
+        Bw = _columns(B, idx, work.take("B", (n, n, w), complex))
+        J = _pattern_jacobian(Bw, jacobian_table, work)
+        coef, _ = _min_norm_steps(J, _columns(r, idx, work.take("r", (m, w))), work)
+        X = _skew_combinations(basis_table, coef, work)
+        Uw = _columns(U, idx, work.take("U", (n, n, w), complex))
+        trial = _exp3_trials(Uw, X, work) if n == 3 else _eigh_trials(Uw, X)
+        r2w = r2[idx]
+        searching = np.ones(w, dtype=bool)
         step = 1.0
         for _ in range(10):
             k = np.flatnonzero(searching)
             U2 = trial(step, k)
-            B2 = _conjugates(A, U2)
+            B2 = _conjugates(A, U2, work)
             rr = _residuals(B2, rows, cols)
             rr2 = np.einsum("ir,ir->r", rr, rr)
-            better = rr2 < r2[idx[k]]
-            took = idx[k[better]]
-            U[..., took], B[..., took], r[:, took], r2[took] = (
-                U2[..., better], B2[..., better], rr[:, better], rr2[better]
-            )
-            searching[k[better]] = False
+            # the accepted points, by one integer index, gathered into
+            # slots the conjugation is done with
+            j = np.flatnonzero(rr2 < r2w[k])
+            took = idx[k[j]]
+            kept = U2.shape[:-1] + (j.size,)
+            U[..., took] = _columns(U2, j, work.take("AU", kept, complex, k.size))
+            B[..., took] = _columns(B2, j, work.take("adj", kept, complex, k.size))
+            r[:, took], r2[took] = rr[:, j], rr2[j]
+            searching[k[j]] = False
             if not searching.any():
                 break
             step *= 0.5
         steps[idx[~searching]] += 1
         live[idx[searching]] = False
-        del trial, U2, B2
-    # one Newton-Schulz step toward the polar factor: the endpoints are
-    # unitary to about 1e-15, so one step reaches it to rounding
-    U = 1.5 * U - 0.5 * _mm(U, _mm(_adjoint(U), U))
+        # no view of the workspace outlives the loop
+        del Bw, J, coef, X, Uw, trial, U2, B2
+    _newton_schulz(U, work)
+    del work, B, r
     B = _conjugates(A, U)
     r = _residuals(B, rows, cols)
     return (
@@ -844,6 +979,19 @@ def gauss_newton_reduce(
         np.einsum("ir,ir->r", r, r),
         steps,
     )
+
+
+def _newton_schulz(U: np.ndarray, work: _Workspace) -> None:
+    """One Newton-Schulz step toward the polar factor, U <- 1.5 U - 0.5 U U* U,
+    in place on the stack U, over ``work.width`` matrices at a time.  Every
+    entry is computed as over the whole stack at once."""
+    for a in range(0, U.shape[-1], work.width):
+        Uc = U[..., a : a + work.width]
+        S = work.take("S", Uc.shape, complex)
+        adj = _adjoint(Uc, work.take("Ustar", Uc.shape, complex))
+        G = _mm(adj, Uc, work.take("UstarU", Uc.shape, complex), S)
+        H = _mm(Uc, G, work.take("UUstarU", Uc.shape, complex), S)
+        np.subtract(np.multiply(1.5, Uc, out=S), np.multiply(0.5, H, out=H), out=Uc)
 
 
 def _same_flag(F: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -903,8 +1051,11 @@ def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> Flag
         raise ValueError(f"need at least one restart, got {restarts}")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"at most {MAX_RESTARTS} restarts, got {restarts}")
-    starts = haar_unitaries(np.random.default_rng(seed), restarts, n)
-    U, B, res, taken = gauss_newton_reduce(A / s, starts, list(I), 60)
+    # no reference to the starts is kept here, so the reducer's stack-last
+    # copy of them is the only one held while it runs
+    U, B, res, taken = gauss_newton_reduce(
+        A / s, haar_unitaries(np.random.default_rng(seed), restarts, n), list(I), 60
+    )
     converged = np.flatnonzero(res <= RESID_TOL)
     _, first, hits = np.unique(
         _flag_clusters(U[converged]), return_index=True, return_counts=True

@@ -559,7 +559,8 @@ def test_count_flags_does_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_a_full_window_stays_lean(monkeypatch):
-    # one window of 2000 restarts peaks at 3.8 MB traced; the same window
+    # one window of 2000 restarts peaks at 3.45 MB traced in its workspace,
+    # 3.8 MB when each iteration allocated its stacks; the same window
     # holding each iteration's Jacobians and trial matrices until the next
     # ones were built peaked at 6.8 MB, and windows of 512 at 2.6 MB
     A = flags3_panel(0)
@@ -567,9 +568,9 @@ def test_a_full_window_stays_lean(monkeypatch):
     widest = []
     solve = orbit3._min_norm_steps
 
-    def recording(J, r):
+    def recording(J, r, *rest):
         widest.append(J.shape[-1])
-        return solve(J, r)
+        return solve(J, r, *rest)
 
     monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
     tracemalloc.start()
@@ -580,6 +581,57 @@ def test_a_full_window_stays_lean(monkeypatch):
         tracemalloc.stop()
     assert max(widest) == 2000
     assert peak < 5e6
+
+
+def test_a_large_count_stays_lean():
+    # 8000 restarts run as four windows; the Newton-Schulz step over the
+    # whole stack once peaked at 8.86 MB traced, with the starts held twice.
+    # The Haar draws (6.16 MB) now set the peak
+    A = flags3_panel(0)
+    count_flags(A, restarts=20)  # the cached tables are built outside the trace
+    tracemalloc.start()
+    try:
+        count_flags(A, restarts=8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
+
+
+def test_a_count_runs_through_the_module_reducer(monkeypatch):
+    # the benchmark's tracer times the reducer by replacing this module
+    # attribute, so a count must reach the reducer through it, once
+    calls = []
+    reduce = orbit3.gauss_newton_reduce
+
+    def recording(*args):
+        calls.append(args[1].shape)
+        return reduce(*args)
+
+    monkeypatch.setattr(orbit3, "gauss_newton_reduce", recording)
+    count_flags(flags3_panel(0), restarts=30)
+    assert calls == [(30, 3, 3)]
+
+
+def test_the_iterations_of_a_call_share_one_workspace(monkeypatch):
+    # every window's Jacobians lie in the one buffer of the call, whatever
+    # the window's width: no iteration allocates its stacks afresh
+    stacks = []
+    solve = orbit3._min_norm_steps
+
+    def recording(J, r, *rest):
+        stacks.append(J)
+        return solve(J, r, *rest)
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
+    count_flags(flags3_panel(2), restarts=300, seed=2)
+    assert len({J.shape[-1] for J in stacks}) > 10
+    assert len({id(owner(J)) for J in stacks}) == 1
 
 
 def test_count_flags_reports_an_open_z_orbit(monkeypatch):
@@ -606,9 +658,9 @@ def test_the_window_bounds_the_stacked_jacobians(monkeypatch):
     rows = []
     solve = orbit3._min_norm_steps
 
-    def recording(J, r):
+    def recording(J, r, *rest):
         rows.append(J.shape[-1])
-        return solve(J, r)
+        return solve(J, r, *rest)
 
     monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
     monkeypatch.setattr(orbit3, "_BLOCK", 16)
@@ -650,6 +702,63 @@ def test_mm_matches_matmul(n):
         got = np.moveaxis(orbit3._mm(_last(x), _last(y)), -1, 0)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mm_into_given_arrays_keeps_every_bit(n):
+    rng = np.random.default_rng(55 + n)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b, M = cx(n, n, 30), cx(n, n, 30), cx(n, n, 1)
+    for x, y in ((a, b), (M, b), (a, M)):
+        want = orbit3._mm(x, y)
+        out, scratch = np.empty_like(want), np.empty_like(want)
+        got = orbit3._mm(x, y, out=out, scratch=scratch)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernels_keep_every_bit_in_a_workspace(n):
+    # one iteration's kernels on a window that is not the whole stack, with
+    # and without a workspace wider than the window: a slot that overwrote
+    # one still to be read would change the bits
+    rng = np.random.default_rng(95 + n)
+    I = {2: ne(2), 3: CYCLIC_PATTERN, 4: EXCEPTIONAL_4[0]}[n]
+    A = random_traceless(rng, n)
+    rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
+    tables = orbit3._jacobian_table(n, rows, cols), orbit3._basis_table(n)
+    U = np.array(np.moveaxis(haar_unitaries(rng, 40, n), 0, -1), order="C")
+    B = orbit3._conjugates(A, U)
+    r = orbit3._residuals(B, rows, cols)
+    idx = np.arange(1, 40, 2)
+    w, m = idx.size, r.shape[0]
+
+    def iteration(work):
+        def slot(name, shape, dtype=float):
+            return None if work is None else work.take(name, shape, dtype)
+
+        Bw = orbit3._columns(B, idx, slot("B", (n, n, w), complex))
+        J = orbit3._pattern_jacobian(Bw, tables[0], work)
+        rw = orbit3._columns(r, idx, slot("r", (m, w)))
+        x, _ = orbit3._min_norm_steps(J, rw, work)
+        outputs = [J.copy(), x.copy()]
+        X = orbit3._skew_combinations(tables[1], x, work)
+        Uw = orbit3._columns(U, idx, slot("U", (n, n, w), complex))
+        if n == 3:
+            trial = orbit3._exp3_trials(Uw, X, work)
+        else:
+            trial = orbit3._eigh_trials(Uw, X)
+        for t, k in ((1.0, np.arange(w)), (0.5, np.arange(0, w, 3))):
+            U2 = trial(t, k)
+            outputs += [U2.copy(), orbit3._conjugates(A, U2, work).copy()]
+        return outputs
+
+    got = iteration(orbit3._Workspace(n, m, 64))
+    for g, want in zip(got, iteration(None), strict=True):
+        assert g.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -851,8 +960,8 @@ def test_reducer_endpoints_are_unitary_with_their_conjugates(n, monkeypatch):
     svd_rows = []
     solve = orbit3._min_norm_steps
 
-    def recording(J, r):
-        x, rows = solve(J, r)
+    def recording(J, r, *rest):
+        x, rows = solve(J, r, *rest)
         svd_rows.append(rows.any())
         return x, rows
 
