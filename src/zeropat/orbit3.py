@@ -436,10 +436,10 @@ TORUS_TOL = 1e-7
 #: 2024), restarts lie within 4.2e-8 of their flag and flags 0.74 apart
 FLAG_TOL = 1e-4
 
-#: restarts one count accepts at most: every start is drawn and held at
-#: once, and the Haar draws peak at about 0.8 kB per start (6.16 MB traced
-#: at 8000), so 10**6 restarts take about 0.8 GB; only the _BLOCK starts of
-#: the window add the workspace of the iterations
+#: restarts one count accepts at most: every start is held at once, and from
+#: a few thousand restarts on the reducer's stacks and endpoints set a count's
+#: traced peak at about 0.74 kB per start (5.91 MB at 8000, 11.8 MB at 16,000;
+#: the Haar draws, made _BLOCK at a time, 2.32 MB), so 10**6 take about 0.74 GB
 MAX_RESTARTS = 10**6
 
 #: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
@@ -494,11 +494,16 @@ def haar_unitaries(rng, count: int, n: int) -> np.ndarray:
     """``count`` Haar-distributed n x n unitaries, shape (count, n, n): QR of
     complex Gaussian matrices with the phases of R's diagonal moved into Q.
     Draws the same numbers, in the same order, as ``count`` calls of
-    ``haar_unitary``."""
-    Z = rng.normal(size=(count, 2, n, n))
-    Q, R = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    return Q * (d / np.abs(d))[:, None, :]
+    ``haar_unitary``.  The starts are drawn and factored _BLOCK at a time,
+    so the draws and factors of a large count are never all held at once."""
+    chunks = []
+    for a in range(0, count, _BLOCK):
+        Z = rng.normal(size=(min(_BLOCK, count - a), 2, n, n))
+        Q, R = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])
+        d = np.diagonal(R, axis1=-2, axis2=-1)
+        chunks.append(Q * (d / np.abs(d))[:, None, :])
+        del Z, Q, R, d  # so that the next chunk draws with none of them held
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
@@ -524,74 +529,68 @@ def random_cyclic_subspace(rng) -> np.ndarray:
 # length m.  A single matrix enters a product with such stacks as (n, m, 1).
 
 
+#: the window stacks that one step of a reducer iteration holds at once, by
+#: the names the kernels take them by: ``_Workspace`` gives the names of one
+#: set disjoint memory, so a set lists every stack that its step writes or
+#: that is written before the step and read after it
+_LIVE = (
+    ("B", "parts", "J"),  # the Jacobian J of the window B via [Re B; Im B]
+    ("J", "r", "T", "row", "diag", "coef"),  # the Gram solve for the step
+    ("coef", "P", "X"),  # the step X via P = [Re X; Im X]
+    # (n = 3) H0 from X; H0^2, K, U H0 and U H0^2; then N from them
+    ("X", "U", "H0"),
+    ("U", "H0", "H0sq", "K", "UH0", "UH0sq", "mm"),
+    ("U", "K", "UH0", "UH0sq", "N"),
+    # a trial point U2 from N via N_j; its conjugate B2 via A U and U*,
+    # which then take the accepted points and their conjugates
+    ("N", "Nj", "U2"),
+    ("N", "U2", "AU", "adj", "B2", "mm2"),
+    ("Ustar", "UstarU", "UUstarU", "S"),  # the Newton-Schulz step
+)
+
+
 class _Workspace:
     """The memory of one ``gauss_newton_reduce`` call: one flat float buffer,
     allocated once for ``width`` starts, that each iteration carves into the
-    C-contiguous stacks of its window.  A slot is a run of floats per start,
-    and a stack of w starts in it is that run scaled by w, so slots laid out
-    one after another never overlap when carved at one width.  Each row of
-    ``layout`` is so laid out, and rows reuse the floats of slots whose
-    contents are dead by then; names that share one slot within a row are
-    listed together, in the order they take it:
-
-    - solve: J from [Re B; Im B] from the gathered window of B; then, over
-      those two, the Gram table T with its scratch row, the window's
-      residuals, the Cholesky diagonal and the step coefficients;
-    - exponential (n = 3): the step X and then H0 in one slot, which
-      U H0^2 takes once U H0 is formed, K, the window of U, U H0, H0^2, and
-      last the trial matrices N.  P = [Re X; Im X] and the scratch of
-      ``_mm`` take the floats of N until N is formed, and P misses the
-      coefficients it is formed from;
-    - line search: a trial point, its gathered N_j, which the conjugation's
-      A U then takes, and the conjugation's U*, result and scratch; carved
-      at the width of the starts still searching, at most the window's, so
-      before N.  A U and U* then hold the accepted points;
-    - polish: U*, U* U, U U* U and a scratch, over chunks of ``width``
-      endpoints.
+    C-contiguous stacks of its window.  Each name of ``_LIVE`` owns a run of
+    floats per start, taken ``width`` times, so its stacks of any width lie
+    in its own floats.  The runs are packed from ``_LIVE``: largest first,
+    each at the lowest offset clear of every name it shares a set with,
+    which takes as many floats per start as the largest set (144 at n = 3 on
+    the cyclic pattern, the line search's).
 
     Without a workspace (``work`` None, as the tests call them) the kernels
     allocate fresh arrays: ``_slot`` stands for both."""
 
     def __init__(self, n: int, m: int, width: int):
         d = 2 * n * n  # floats per start of an n x n complex stack
-        J = ("J", m * d // 2)
-        exp = [("X H0 UH0sq", d), ("K", d), ("U", d), ("UH0", d), ("H0sq", d)]
-        layout = [
-            [J, ("B", d), ("parts", d)],
-            [J, ("T", m * (m + 1)), ("row", m + 1), ("r", m), ("diag", m),
-             ("coef", d // 2)],
-            exp + [("N", 3 * d)],
-            exp + [("P", d), ("mm", d)],
-            [("U2", d), ("Nj AU", d), ("adj", d), ("B2", d), ("mm2", d)],
-            [("Ustar", d), ("UstarU", d), ("UUstarU", d), ("S", d)],
-        ]
-        self.slots, size = {}, 0
-        for row in layout:
+        floats = {name: d for names in _LIVE for name in names}
+        floats.update(
+            J=m * d // 2, r=m, T=m * (m + 1), row=m + 1, diag=m, coef=d // 2, N=3 * d
+        )
+        self.slots = {}
+        for name in sorted(floats, key=floats.get, reverse=True):
+            f = floats[name] + floats[name] % 2  # keeps complex slots 16-byte aligned
             offset = 0
-            for names, floats in row:
-                # even offsets keep complex slots 16-byte aligned
-                floats += floats % 2
-                for name in names.split():
-                    slot = self.slots.setdefault(name, (offset, floats))
-                    assert slot == (offset, floats), f"{name} moves between rows"
-                offset += floats
-            size = max(size, offset)
-        (c, c_floats), (p, _) = self.slots["coef"], self.slots["P"]
-        assert c + c_floats <= p or c >= p + d
-        assert self.slots["mm2"][0] + d <= self.slots["N"][0]
+            for start, end in sorted(
+                self.slots[other]
+                for names in _LIVE if name in names
+                for other in names if other in self.slots
+            ):
+                if offset + f <= start:
+                    break
+                offset = max(offset, end)
+            self.slots[name] = offset, offset + f
         self.width = width
-        self.buf = np.empty(size * width)
+        self.buf = np.empty(max(end for _, end in self.slots.values()) * width)
 
-    def take(self, name: str, shape: tuple, dtype=float, width=None) -> np.ndarray:
-        """An empty stack of the given shape, the stack axis last, in the
-        floats of slot ``name`` carved at ``width`` starts (by default the
-        stack's own), which may exceed the stack's."""
-        offset, floats = self.slots[name]
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """An empty stack of the given shape, stack axis last, in slot ``name``."""
+        offset, end = self.slots[name]
         w = shape[-1]
-        width = w if width is None else width
         per_start = math.prod(shape[:-1]) * np.dtype(dtype).itemsize // 8
-        assert per_start <= floats and w <= width <= self.width
-        start = offset * width
+        assert per_start <= end - offset and w <= self.width
+        start = offset * self.width
         return self.buf[start : start + per_start * w].view(dtype).reshape(shape)
 
 
@@ -717,9 +716,8 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
     of about sqrt(eps) |H0|, whose N2 term S keeps.  A zero H0 (possible on
     the SVD step) gives f = (1, 0, 0), so X = 0 gives U exactly.
 
-    With a ``_Workspace`` work, H0 overwrites X, which the reducer forms in
-    the same slot, and H0^2, K, U H0, U H0^2, N and each trial point take
-    their slots."""
+    With a ``_Workspace`` work, H0, H0^2, K, U H0, U H0^2, N and each trial
+    point take the slots that ``_LIVE`` lays out."""
     shape = X.shape
     H0 = np.multiply(-1j, X, out=_slot(work, "H0", shape, complex))
     a = np.trace(H0).real / 3
@@ -748,8 +746,7 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
     K[0, 0] += flat
     # N_j = sum_i K[j, i] M_i with M = (U, U H0, U H0^2), as three
     # contiguous linear combinations built in place: N_2 holds the products
-    # of N_0 and N_1 until M_1 and M_2, no longer needed, take their own.
-    # M_1 comes first: in a workspace, M_2 takes the slot of H0
+    # of N_0 and N_1 until M_1 and M_2, no longer needed, take their own
     M = (
         U,
         _mm(U, H0, _slot(work, "UH0", U.shape, complex), mm),
@@ -896,7 +893,7 @@ def gauss_newton_reduce(
     stack of an iteration, from the gathered window to the Jacobians, the
     Gram tables, the trial matrices and the points and conjugates of the
     line search, lives in one ``_Workspace``, allocated once per call at the
-    window's width, whose phases reuse the same memory; an iteration
+    window's width, whose stacks share memory as ``_LIVE`` allows; an iteration
     allocates only arrays of a few floats per start.  A window or a trial's
     starts that are the whole stack are read without a copy (``_columns``),
     the accepted points of a step length are written back by one integer
@@ -958,8 +955,8 @@ def gauss_newton_reduce(
             j = np.flatnonzero(rr2 < r2w[k])
             took = idx[k[j]]
             kept = U2.shape[:-1] + (j.size,)
-            U[..., took] = _columns(U2, j, work.take("AU", kept, complex, k.size))
-            B[..., took] = _columns(B2, j, work.take("adj", kept, complex, k.size))
+            U[..., took] = _columns(U2, j, work.take("AU", kept, complex))
+            B[..., took] = _columns(B2, j, work.take("adj", kept, complex))
             r[:, took], r2[took] = rr[:, j], rr2[j]
             searching[k[j]] = False
             if not searching.any():

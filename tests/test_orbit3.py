@@ -32,7 +32,7 @@ from zeropat.orbit3 import (
     torus_equivalent,
     _p_expanded,
 )
-from zeropat.patterns import ne
+from zeropat.patterns import Pattern, ne
 
 
 def test_invariants_zero_matrix():
@@ -481,6 +481,19 @@ def test_haar_unitaries_match_a_loop_of_haar_unitary():
         assert np.array_equal(batch, np.stack(loop))
 
 
+def test_haar_draws_stay_lean():
+    # drawn and factored all at once, 8000 draws peaked at 6.16 MB traced;
+    # _BLOCK at a time they peak at 2.32 MB
+    haar_unitaries(np.random.default_rng(1), 20, 3)
+    tracemalloc.start()
+    try:
+        haar_unitaries(np.random.default_rng(1), 8000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_torus_equivalent_matches_the_scalar_loop():
     rng = np.random.default_rng(21)
     founders = [random_cyclic_subspace(rng) for _ in range(4)]
@@ -585,8 +598,9 @@ def test_a_full_window_stays_lean(monkeypatch):
 
 def test_a_large_count_stays_lean():
     # 8000 restarts run as four windows; the Newton-Schulz step over the
-    # whole stack once peaked at 8.86 MB traced, with the starts held twice.
-    # The Haar draws (6.16 MB) now set the peak
+    # whole stack once peaked at 8.86 MB traced, with the starts held twice,
+    # and the Haar draws made all at once at 6.16 MB.  The count now peaks
+    # at 5.91 MB
     A = flags3_panel(0)
     count_flags(A, restarts=20)  # the cached tables are built outside the trace
     tracemalloc.start()
@@ -720,45 +734,92 @@ def test_mm_into_given_arrays_keeps_every_bit(n):
         assert got.tobytes() == want.tobytes()
 
 
+def _fresh_take(self, name, shape, dtype=float):
+    """``_Workspace.take`` with every stack in memory of its own."""
+    return np.empty(shape, dtype)
+
+
+def _packed_and_fresh(monkeypatch, run):
+    """run() with the packed workspace and with every stack taken fresh."""
+    packed = run()
+    with monkeypatch.context() as m:
+        m.setattr(orbit3._Workspace, "take", _fresh_take)
+        return packed, run()
+
+
+def assert_same_stacks(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_kernels_keep_every_bit_in_a_workspace(n):
-    # one iteration's kernels on a window that is not the whole stack, with
-    # and without a workspace wider than the window: a slot that overwrote
-    # one still to be read would change the bits
+def test_a_packed_workspace_keeps_every_bit(n, monkeypatch):
+    # stacks that share memory in the packed layout of _LIVE must never be
+    # live together: a name missing from a set where it is live lets another
+    # stack overwrite it, and the bits change.  Windows of 37 and 16 gather
+    # partial windows; at 2048 the window narrows within a wider workspace
     rng = np.random.default_rng(95 + n)
     I = {2: ne(2), 3: CYCLIC_PATTERN, 4: EXCEPTIONAL_4[0]}[n]
     A = random_traceless(rng, n)
-    rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
-    tables = orbit3._jacobian_table(n, rows, cols), orbit3._basis_table(n)
-    U = np.array(np.moveaxis(haar_unitaries(rng, 40, n), 0, -1), order="C")
-    B = orbit3._conjugates(A, U)
-    r = orbit3._residuals(B, rows, cols)
-    idx = np.arange(1, 40, 2)
-    w, m = idx.size, r.shape[0]
+    starts = haar_unitaries(rng, 120, n)
+    for block in (2048, 37, 16):
+        monkeypatch.setattr(orbit3, "_BLOCK", block)
+        packed, fresh = _packed_and_fresh(
+            monkeypatch, lambda: orbit3.gauss_newton_reduce(A, starts, list(I), 60)
+        )
+        assert_same_stacks(packed, fresh)
 
-    def iteration(work):
-        def slot(name, shape, dtype=float):
-            return None if work is None else work.take(name, shape, dtype)
 
-        Bw = orbit3._columns(B, idx, slot("B", (n, n, w), complex))
-        J = orbit3._pattern_jacobian(Bw, tables[0], work)
-        rw = orbit3._columns(r, idx, slot("r", (m, w)))
-        x, _ = orbit3._min_norm_steps(J, rw, work)
-        outputs = [J.copy(), x.copy()]
-        X = orbit3._skew_combinations(tables[1], x, work)
-        Uw = orbit3._columns(U, idx, slot("U", (n, n, w), complex))
-        if n == 3:
-            trial = orbit3._exp3_trials(Uw, X, work)
-        else:
-            trial = orbit3._eigh_trials(Uw, X)
-        for t, k in ((1.0, np.arange(w)), (0.5, np.arange(0, w, 3))):
-            U2 = trial(t, k)
-            outputs += [U2.copy(), orbit3._conjugates(A, U2, work).copy()]
-        return outputs
+def test_count_reductions_at_n4_on_three_positions(monkeypatch):
+    # the hand-laid workspace once put the step coefficients and P = [Re X;
+    # Im X] in overlapping floats here, and refused every such pattern
+    stacks = []
+    reduce = orbit3.gauss_newton_reduce
 
-    got = iteration(orbit3._Workspace(n, m, 64))
-    for g, want in zip(got, iteration(None), strict=True):
-        assert g.tobytes() == want.tobytes()
+    def recording(*args):
+        stacks.append(reduce(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(orbit3, "gauss_newton_reduce", recording)
+    A = random_traceless(np.random.default_rng(9), 4)
+    I = Pattern([(1, 2), (2, 3), (3, 4)])
+    packed, fresh = _packed_and_fresh(
+        monkeypatch, lambda: count_reductions(A, I, restarts=200, seed=3)
+    )
+    assert packed.num_flags == fresh.num_flags > 0
+    assert_same_stacks(*stacks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_workspace_takes_no_more_than_its_largest_live_set(n):
+    for k in range(1, n * n + 1):
+        work = orbit3._Workspace(n, 2 * k, 3)
+        slots = work.slots
+        largest = max(
+            sum(slots[name][1] - slots[name][0] for name in names)
+            for names in orbit3._LIVE
+        )
+        assert work.buf.size == 3 * largest
+        for names in orbit3._LIVE:
+            runs = sorted(slots[name] for name in names)
+            assert all(end <= start for (_, end), (start, _) in zip(runs, runs[1:]))
+    # as the hand-laid layouts were
+    want = {2: (2, 64), 3: (6, 144), 4: (12, 402)}[n]
+    assert orbit3._Workspace(n, want[0], 1).buf.size == want[1]
+
+
+def test_a_count_takes_every_live_name(monkeypatch):
+    # a name no kernel takes any longer would keep its floats in the layout
+    taken = set()
+    take = orbit3._Workspace.take
+
+    def recording(self, name, *args):
+        taken.add(name)
+        return take(self, name, *args)
+
+    monkeypatch.setattr(orbit3._Workspace, "take", recording)
+    count_flags(flags3_panel(0), restarts=50)
+    assert taken == {name for names in orbit3._LIVE for name in names}
 
 
 @pytest.mark.parametrize(
