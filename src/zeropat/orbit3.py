@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .patterns import Pattern, cyclic3
+from .patterns import Pattern, cyclic3, mu
 from .polynomials import Poly
 
 # -- reference matrices --------------------------------------------------------
@@ -329,11 +329,14 @@ def poly_P2_ratio(A) -> float:
     """The degree-12 cofactor extracted as P / P1^2.
 
     Refuses when |P1| is below 1e-8 relative to scale: near its zero locus
-    the ratio is ill conditioned.
-    """
+    the ratio is ill conditioned, and when s^24, s = ||A||, is below the
+    smallest normal float (at the zero matrix too), where P reads 0 or
+    loses its digits."""
     A = np.asarray(A, dtype=complex)
     s = float(np.linalg.norm(A))
     p1 = poly_P1(A)
+    if s**24 < np.finfo(float).tiny:
+        raise ValueError(f"matrix of norm {s:.3g} is too small: P underflows")
     if abs(p1) < 1e-8 * s**6:
         raise ValueError(
             "P1 is below the conditioning threshold; ratio extraction refused"
@@ -375,7 +378,8 @@ def is_transversal_at(A) -> bool:
     if s == 0.0:
         return False
     rows, cols = np.array(list(CYCLIC_PATTERN), dtype=np.intp).T - 1
-    J = _pattern_jacobian((A / s)[..., None], _jacobian_table(3, rows, cols))
+    table, work = _jacobian_table(3, rows, cols), _Workspace(3, 6, 1)
+    J = _pattern_jacobian((A / s)[..., None], table, work)
     return bool(np.linalg.svd(J[..., 0], compute_uv=False)[-1] > 1e-8)
 
 
@@ -394,35 +398,34 @@ def _jacobian_table(n: int, rows, cols) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _pattern_jacobian(B: np.ndarray, table: np.ndarray, work=None) -> np.ndarray:
+def _pattern_jacobian(B: np.ndarray, table: np.ndarray, work) -> np.ndarray:
     """Jacobian of the real and imaginary parts of the pattern entries of
     exp(-S) B exp(S) at S = 0, for each matrix of the stack B of shape
     (n, n, R), in the coordinates of the skew-hermitian basis: shape
     (2k, n^2, R).  It is linear in B, so the whole stack takes one real
     matrix product with the ``_jacobian_table`` of the pattern.  The parts
-    [Re B; Im B] and J go into the ``_Workspace`` work when one is given."""
+    [Re B; Im B] and J take their slots of the ``_Workspace`` work."""
     n2, R = B.shape[0] * B.shape[1], B.shape[-1]
     Bf = B.reshape(n2, R)
-    parts = _slot(work, "parts", (2 * n2, R))
+    parts = work.take("parts", (2 * n2, R))
     np.copyto(parts[:n2], Bf.real)
     np.copyto(parts[n2:], Bf.imag)
-    J = np.matmul(table, parts, out=_slot(work, "J", (table.shape[0], R)))
+    J = np.matmul(table, parts, out=work.take("J", (table.shape[0], R)))
     return J.reshape(-1, n2, R)
 
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
 
 #: live starts that one Gauss-Newton iteration reduces together: the first
-#: _BLOCK in restart order, refilled as starts finish.  A fixed window bounds
-#: the memory of the stacked Jacobians and trial matrices whatever the restart
-#: budget, and refilling keeps it full while slow starts run to max_iter.  The
-#: window's stacks live in one ``_Workspace`` per reducer call, 1152 bytes
-#: per start at n = 3, so a full window takes 2.36 MB, allocated once.
-#: 2048 holds the default budget of 2000 restarts in one window.  Every
-#: iteration and every trial step length pays a fixed cost of a few dozen
-#: small numpy calls once per window, so one window pays it about half as
-#: often as windows of 512: a flags3 pass at seed 7919 makes 179 iterations
-#: and 1229 trial steps, against 367 and 2457
+#: _BLOCK in restart order, refilled as starts finish, and the starts that
+#: the entry and exit of a reducer call conjugate at a time.  A fixed window
+#: bounds the memory of the stacked Jacobians and trial matrices whatever
+#: the restart budget, and refilling keeps it full while slow starts run to
+#: max_iter.  The window's stacks live in one ``_Workspace`` per reducer
+#: call, 1152 bytes per start at n = 3, so a full window takes 2.36 MB,
+#: allocated once.  2048 holds the default budget of 2000 restarts in one
+#: window, so each iteration and each trial step length pays its fixed cost
+#: of a few dozen small numpy calls once for all of them
 _BLOCK = 2048
 
 #: squared pattern residual at or below which a reduction has converged
@@ -437,9 +440,9 @@ TORUS_TOL = 1e-7
 FLAG_TOL = 1e-4
 
 #: restarts one count accepts at most: every start is held at once, and from
-#: a few thousand restarts on the reducer's stacks and endpoints set a count's
-#: traced peak at about 0.74 kB per start (5.91 MB at 8000, 11.8 MB at 16,000;
-#: the Haar draws, made _BLOCK at a time, 2.32 MB), so 10**6 take about 0.74 GB
+#: a few thousand restarts on the endpoints, their conjugates and their
+#: clustering set a count's traced peak at about 0.71 kB per start (5.89 MB
+#: at 8000, 11.4 MB at 16,000), so 10**6 take about 0.71 GB
 MAX_RESTARTS = 10**6
 
 #: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
@@ -535,46 +538,49 @@ def random_cyclic_subspace(rng) -> np.ndarray:
 #: that is written before the step and read after it
 _LIVE = (
     ("B", "parts", "J"),  # the Jacobian J of the window B via [Re B; Im B]
-    ("J", "r", "T", "row", "diag", "coef"),  # the Gram solve for the step
+    ("J", "T", "row", "diag", "coef"),  # the Gram solve for the step
     ("coef", "P", "X"),  # the step X via P = [Re X; Im X]
     # (n = 3) H0 from X; H0^2, K, U H0 and U H0^2; then N from them
     ("X", "U", "H0"),
     ("U", "H0", "H0sq", "K", "UH0", "UH0sq", "mm"),
     ("U", "K", "UH0", "UH0sq", "N"),
-    # a trial point U2 from N via N_j; its conjugate B2 via A U and U*,
-    # which then take the accepted points and their conjugates
+    # a trial point U2 from N via N_j; its conjugate B2 via A U and U*
+    # (as for the starts and the endpoints), which then take the accepted
+    # points and their conjugates
     ("N", "Nj", "U2"),
     ("N", "U2", "AU", "adj", "B2", "mm2"),
-    ("Ustar", "UstarU", "UUstarU", "S"),  # the Newton-Schulz step
+    ("Ustar", "UstarU", "UUstarU", "S"),  # the Newton-Schulz step at exit
 )
+
+#: the names that only the closed-form exponential of ``_exp3_trials`` takes
+_EXP3_NAMES = frozenset({"H0", "H0sq", "K", "UH0", "UH0sq", "mm", "N", "Nj", "U2"})
 
 
 class _Workspace:
     """The memory of one ``gauss_newton_reduce`` call: one flat float buffer,
     allocated once for ``width`` starts, that each iteration carves into the
-    C-contiguous stacks of its window.  Each name of ``_LIVE`` owns a run of
-    floats per start, taken ``width`` times, so its stacks of any width lie
-    in its own floats.  The runs are packed from ``_LIVE``: largest first,
-    each at the lowest offset clear of every name it shares a set with,
-    which takes as many floats per start as the largest set (144 at n = 3 on
-    the cyclic pattern, the line search's).
-
-    Without a workspace (``work`` None, as the tests call them) the kernels
-    allocate fresh arrays: ``_slot`` stands for both."""
+    C-contiguous stacks of its window, and the entry and exit carve into
+    those of ``width`` starts at a time.  Each name of ``_LIVE`` that the
+    call's trial path takes (the ``_EXP3_NAMES`` at n = 3 only) owns a run
+    of floats per start, taken ``width`` times, so its stacks of any width
+    lie in its own floats.  The runs are packed from ``_LIVE``: largest
+    first, each at the lowest offset clear of every name it shares a set
+    with, which takes as many floats per start as the largest set (32 at
+    n = 2 on one position, 144 at n = 3 on the cyclic pattern)."""
 
     def __init__(self, n: int, m: int, width: int):
         d = 2 * n * n  # floats per start of an n x n complex stack
-        floats = {name: d for names in _LIVE for name in names}
-        floats.update(
-            J=m * d // 2, r=m, T=m * (m + 1), row=m + 1, diag=m, coef=d // 2, N=3 * d
-        )
+        skip = () if n == 3 else _EXP3_NAMES
+        live = [[name for name in names if name not in skip] for names in _LIVE]
+        sizes = dict(J=m * n * n, T=m * m + m, row=m + 1, diag=m, coef=n * n, N=3 * d)
+        floats = {name: sizes.get(name, d) for names in live for name in names}
         self.slots = {}
         for name in sorted(floats, key=floats.get, reverse=True):
             f = floats[name] + floats[name] % 2  # keeps complex slots 16-byte aligned
             offset = 0
             for start, end in sorted(
                 self.slots[other]
-                for names in _LIVE if name in names
+                for names in live if name in names
                 for other in names if other in self.slots
             ):
                 if offset + f <= start:
@@ -587,17 +593,10 @@ class _Workspace:
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """An empty stack of the given shape, stack axis last, in slot ``name``."""
         offset, end = self.slots[name]
-        w = shape[-1]
-        per_start = math.prod(shape[:-1]) * np.dtype(dtype).itemsize // 8
-        assert per_start <= end - offset and w <= self.width
+        floats = math.prod(shape[:-1]) * np.dtype(dtype).itemsize // 8
+        assert floats <= end - offset and shape[-1] <= self.width
         start = offset * self.width
-        return self.buf[start : start + per_start * w].view(dtype).reshape(shape)
-
-
-def _slot(work: _Workspace | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An empty array of the given shape: slot ``name`` of the workspace
-    work, or a fresh array without one."""
-    return np.empty(shape, dtype) if work is None else work.take(name, shape, dtype)
+        return self.buf[start : start + floats * shape[-1]].view(dtype).reshape(shape)
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -624,16 +623,20 @@ def _adjoint(U: np.ndarray, out=None) -> np.ndarray:
     return np.conjugate(U, out=out).swapaxes(0, 1)
 
 
-def _conjugates(A: np.ndarray, U: np.ndarray, work=None) -> np.ndarray:
+def _conjugates(A: np.ndarray, U: np.ndarray, work) -> np.ndarray:
     """U* A U for a stack of unitaries U of shape (n, n, R): A U is one
     matrix product over the stack, U* (A U) a product per start.  A U, U*,
     the result and the scratch of the product take their slots of the
-    ``_Workspace`` work when one is given."""
+    ``_Workspace`` work; a window of a wider stack U is first copied into
+    the result's slot, since A U needs it in one piece."""
     n, shape = A.shape[0], U.shape
-    AU = _slot(work, "AU", shape, complex)
+    out, scratch = (work.take(name, shape, complex) for name in ("B2", "mm2"))
+    if not U.flags.c_contiguous:
+        np.copyto(out, U)
+        U = out
+    AU = work.take("AU", shape, complex)
     np.matmul(A, U.reshape(n, -1), out=AU.reshape(n, -1))
-    adj = _adjoint(U, _slot(work, "adj", shape, complex))
-    out, scratch = (_slot(work, name, shape, complex) for name in ("B2", "mm2"))
+    adj = _adjoint(U, work.take("adj", shape, complex))
     return _mm(adj, AU, out, scratch)
 
 
@@ -645,14 +648,15 @@ def _basis_table(n: int) -> np.ndarray:
     return np.concatenate([S.real, S.imag])
 
 
-def _skew_combinations(table: np.ndarray, coef: np.ndarray, work=None) -> np.ndarray:
+def _skew_combinations(table: np.ndarray, coef: np.ndarray, work) -> np.ndarray:
     """The skew-hermitian matrices sum_b coef[b, r] S_b, shape (n, n, R), from
     the coefficients coef of shape (n^2, R) and the ``_basis_table`` of
-    the S_b: one real matrix product over the stack."""
+    the S_b: one real matrix product over the stack.  P = [Re X; Im X] and
+    X take their slots of the ``_Workspace`` work."""
     n2, R = table.shape[1], coef.shape[1]
     n = math.isqrt(n2)
-    P = np.matmul(table, coef, out=_slot(work, "P", (2 * n2, R)))
-    X = np.multiply(1j, P[n2:], out=_slot(work, "X", (n2, R), complex))
+    P = np.matmul(table, coef, out=work.take("P", (2 * n2, R)))
+    X = np.multiply(1j, P[n2:], out=work.take("X", (n2, R), complex))
     np.add(P[:n2], X, out=X)
     return X.reshape(n, n, R)
 
@@ -692,7 +696,7 @@ def _eigh_trials(U: np.ndarray, X: np.ndarray):
     )
 
 
-def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
+def _exp3_trials(U: np.ndarray, X: np.ndarray, work):
     """The map (t, k) -> U[..., k] exp(t X[..., k]) for stacks of 3 x 3
     matrices, in the closed form of Morningstar and Peardon (Phys. Rev. D
     69, 054501, 2004), with no per-matrix LAPACK call.
@@ -716,14 +720,15 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
     of about sqrt(eps) |H0|, whose N2 term S keeps.  A zero H0 (possible on
     the SVD step) gives f = (1, 0, 0), so X = 0 gives U exactly.
 
-    With a ``_Workspace`` work, H0, H0^2, K, U H0, U H0^2, N and each trial
-    point take the slots that ``_LIVE`` lays out."""
+    H0, H0^2, K, U H0, U H0^2, N and each trial point take their slots of
+    the ``_Workspace`` work."""
     shape = X.shape
-    H0 = np.multiply(-1j, X, out=_slot(work, "H0", shape, complex))
+    H0 = np.multiply(-1j, X, out=work.take("H0", shape, complex))
     a = np.trace(H0).real / 3
-    H0 -= np.eye(3)[..., None] * a
-    mm = _slot(work, "mm", shape, complex)
-    H0sq = _mm(H0, H0, _slot(work, "H0sq", shape, complex), mm)
+    for i in range(3):
+        H0[i, i] -= a
+    mm = work.take("mm", shape, complex)
+    H0sq = _mm(H0, H0, work.take("H0sq", shape, complex), mm)
     c1 = np.trace(H0sq).real / 2
     c0 = _det3(H0).real
     r = np.sqrt(c1 / 3)
@@ -738,7 +743,7 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
     inv = np.divide(1.0, D, out=np.zeros_like(D), where=~flat)
     # K[j, i] is the coefficient of the j-th of E, F cos(t w), F S in
     # f_i t^i, and f0 = E where H0 = 0
-    K = _slot(work, "K", (3, 3) + u.shape, complex)
+    K = work.take("K", (3, 3) + u.shape, complex)
     K[0, 0], K[0, 1], K[0, 2] = uu - ww, 2 * u, 1
     K[1, 0], K[1, 1], K[1, 2] = 8 * uu, -2 * u, -1
     K[2, 0], K[2, 1], K[2, 2] = 2j * u * (3 * uu + ww), 1j * (3 * uu - ww), -3j * u
@@ -749,11 +754,10 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
     # of N_0 and N_1 until M_1 and M_2, no longer needed, take their own
     M = (
         U,
-        _mm(U, H0, _slot(work, "UH0", U.shape, complex), mm),
-        _mm(U, H0sq, _slot(work, "UH0sq", U.shape, complex), mm),
+        _mm(U, H0, work.take("UH0", U.shape, complex), mm),
+        _mm(U, H0sq, work.take("UH0sq", U.shape, complex), mm),
     )
-    del H0, H0sq
-    N = _slot(work, "N", (3,) + U.shape, complex)
+    N = work.take("N", (3,) + U.shape, complex)
     for j in range(2):
         np.multiply(K[j, 0], M[0], out=N[j])
         for i in (1, 2):
@@ -773,10 +777,10 @@ def _exp3_trials(U: np.ndarray, X: np.ndarray, work=None):
         F = np.exp(1j * mid)
         # each N_j of the searching starts is gathered into Nj in turn
         shape = (9, k.size)
-        Nj = _slot(work, "Nj", shape, complex)
+        Nj = work.take("Nj", shape, complex)
         U2 = np.multiply(
             np.exp(1j * top), _columns(N[0], k, Nj),
-            out=_slot(work, "U2", shape, complex),
+            out=work.take("U2", shape, complex),
         )
         U2 += np.multiply(F * np.cos(tw), _columns(N[1], k, Nj), out=Nj)
         U2 += np.multiply(
@@ -794,8 +798,17 @@ def _residuals(B: np.ndarray, rows, cols) -> np.ndarray:
     return np.concatenate([vals.real, vals.imag])
 
 
+def _evaluate(A: np.ndarray, U: np.ndarray, rows, cols, work):
+    """(B, r2): the conjugates B = U* A U of a stack of unitaries U, in the
+    ``_Workspace`` work (``_conjugates``), and the squared norms of their
+    pattern residuals."""
+    B = _conjugates(A, U, work)
+    r = _residuals(B, rows, cols)
+    return B, np.einsum("ir,ir->r", r, r)
+
+
 def _min_norm_steps(
-    J: np.ndarray, r: np.ndarray, work=None
+    J: np.ndarray, r: np.ndarray, work
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solutions x of J x = -r for a stack J of
     shape (m, d, R) with m <= d and r of shape (m, R), as
@@ -810,20 +823,20 @@ def _min_norm_steps(
     only a truncated SVD gives the right step; the SVD runs on those starts
     alone.  Returns (x, svd_rows), the steps of shape (d, R) and the mask of
     the starts the SVD solved.  T, its scratch row, the Cholesky diagonal
-    and x go into the ``_Workspace`` work when one is given."""
+    and x take their slots of the ``_Workspace`` work."""
     m, R = J.shape[0], J.shape[2]
     # the upper triangle of [G | -r], eliminated in place: row j ends as row
     # j of L^T followed by the forward solution z_j of L z = -r.  The
     # eliminations read only that triangle, and the scratch row holds each
     # update's products
-    T = _slot(work, "T", (m, m + 1, R))
+    T = work.take("T", (m, m + 1, R))
     for i in range(m):
         np.einsum("br,jbr->jr", J[i], J[i:], out=T[i, i:m])
     np.negative(r, out=T[:, m])
-    row = _slot(work, "row", (m + 1, R))
+    row = work.take("row", (m + 1, R))
     floor = _GRAM_PIVOT * np.trace(T[:, :m]) / m
     ok = np.ones(R, dtype=bool)
-    diag = _slot(work, "diag", (m, R))
+    diag = work.take("diag", (m, R))
     for j in range(m):
         ok &= T[j, j] > floor
         np.sqrt(np.where(ok, T[j, j], 1.0), out=diag[j])
@@ -835,7 +848,7 @@ def _min_norm_steps(
     for j in range(m - 1, -1, -1):
         y[j] /= diag[j]
         y[:j] -= np.multiply(T[:j, j], y[j], out=row[:j])
-    x = np.einsum("ibr,ir->br", J, y, out=_slot(work, "coef", J.shape[1:]))
+    x = np.einsum("ibr,ir->br", J, y, out=work.take("coef", J.shape[1:]))
     svd_rows = ~ok
     if svd_rows.any():
         # truncated where lstsq(rcond=None) truncates
@@ -879,36 +892,24 @@ def gauss_newton_reduce(
     ``count_reductions`` at n = 2 and n = 4.  The endpoints are re-unitarized
     by one Newton-Schulz step U <- (3 U - U U* U) / 2 toward the polar
     factor.  At n = 3 an iteration makes no per-matrix LAPACK or BLAS call
-    unless a rank-deficient Jacobian takes the SVD step.  The maps that are
-    the same for every start are one BLAS call each over the whole stack:
-    the Jacobian is the ``_jacobian_table`` of the pattern applied to the
-    flattened real and imaginary parts of the conjugates, the step X the
-    ``_basis_table`` applied to the coefficients, and A U in each
-    conjugation one product with A; both tables are built once per call.
+    unless a rank-deficient Jacobian takes the SVD step.
 
     The stacks are held with the stack axis last (see ``_mm``) and returned
     with it first.  Each iteration steps the first _BLOCK live starts in
     restart order, so the window refills from the waiting starts as others
-    stop, and the stacked arrays never hold more than _BLOCK starts.  Every
-    stack of an iteration, from the gathered window to the Jacobians, the
-    Gram tables, the trial matrices and the points and conjugates of the
-    line search, lives in one ``_Workspace``, allocated once per call at the
-    window's width, whose stacks share memory as ``_LIVE`` allows; an iteration
-    allocates only arrays of a few floats per start.  A window or a trial's
-    starts that are the whole stack are read without a copy (``_columns``),
-    the accepted points of a step length are written back by one integer
-    index, and the Newton-Schulz step runs in place through the workspace,
-    so memory peaks at the workspace, 1152 bytes per window start at n = 3,
-    on top of the held starts.  The starts are stepped in place in a
-    C-contiguous stack-last copy of U0, and the reference to U0 is dropped
-    once the copy is made, so a caller that keeps none, as
-    ``count_reductions``, holds the starts once.  The starts share no state,
-    but a start's place in the stack can change the rounding of the product
-    A @ U and of the residual and Gram ``einsum`` calls, so its path depends
-    on the window at rounding level: on panel matrix 2 of the flags3
-    benchmark, a window of 37 moves endpoints by up to 5.5e-14 and changes
-    the step counts of stalled starts, though no start switches between
-    converged and not.
+    stop.  A call holds the starts, stepped in place in a C-contiguous
+    stack-last copy of U0 (a caller that keeps no reference to U0, as
+    ``count_reductions``, holds them once), their conjugates and their
+    squared residuals.  Every other stack lives in one ``_Workspace``: those
+    of an iteration, and at entry and exit, ``work.width`` starts at a time,
+    those of the conjugations and the Newton-Schulz step.  An iteration
+    allocates only arrays of a few floats per start.  The starts share no
+    state, but a start's place in the stack can change the rounding of the
+    product A @ U and of the residual and Gram ``einsum`` calls, so its path
+    depends on the window at rounding level: on panel matrix 2 of the
+    flags3 benchmark, a window of 37 moves endpoints by up to 5.5e-14 and
+    changes the step counts of stalled starts, though no start switches
+    between converged and not.
 
     Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
     each, their squared residuals and the number of steps each start took.
@@ -916,17 +917,16 @@ def gauss_newton_reduce(
     # C order, so a window's gather by np.take does not copy the whole stack
     U = np.array(np.moveaxis(U0, 0, -1), dtype=complex, order="C")
     del U0
-    n = A.shape[0]
+    n, R = A.shape[0], U.shape[-1]
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
     cols = np.array([j - 1 for _, j in positions], dtype=np.intp)
     jacobian_table, basis_table = _jacobian_table(n, rows, cols), _basis_table(n)
-    B = _conjugates(A, U)
-    r = _residuals(B, rows, cols)
-    r2 = np.einsum("ir,ir->r", r, r)
-    R, m = U.shape[-1], r.shape[0]
-    work = _Workspace(n, m, min(R, _BLOCK))
-    steps = np.zeros(R, dtype=np.intp)
-    live = np.ones(R, dtype=bool)
+    work = _Workspace(n, 2 * rows.size, min(R, _BLOCK))
+    B, r2 = np.empty_like(U), np.empty(R)
+    for a in range(0, R, work.width):
+        s = slice(a, a + work.width)
+        B[..., s], r2[s] = _evaluate(A, U[..., s], rows, cols, work)
+    steps, live = np.zeros(R, dtype=np.intp), np.ones(R, dtype=bool)
     while True:
         # a start leaves ``live`` at its first failed line search, so a live
         # start has taken a step at each of its attempts
@@ -937,27 +937,24 @@ def gauss_newton_reduce(
         w = idx.size
         Bw = _columns(B, idx, work.take("B", (n, n, w), complex))
         J = _pattern_jacobian(Bw, jacobian_table, work)
-        coef, _ = _min_norm_steps(J, _columns(r, idx, work.take("r", (m, w))), work)
+        coef, _ = _min_norm_steps(J, _residuals(Bw, rows, cols), work)
         X = _skew_combinations(basis_table, coef, work)
         Uw = _columns(U, idx, work.take("U", (n, n, w), complex))
         trial = _exp3_trials(Uw, X, work) if n == 3 else _eigh_trials(Uw, X)
-        r2w = r2[idx]
         searching = np.ones(w, dtype=bool)
         step = 1.0
         for _ in range(10):
             k = np.flatnonzero(searching)
             U2 = trial(step, k)
-            B2 = _conjugates(A, U2, work)
-            rr = _residuals(B2, rows, cols)
-            rr2 = np.einsum("ir,ir->r", rr, rr)
+            B2, rr2 = _evaluate(A, U2, rows, cols, work)
             # the accepted points, by one integer index, gathered into
             # slots the conjugation is done with
-            j = np.flatnonzero(rr2 < r2w[k])
+            j = np.flatnonzero(rr2 < r2[idx[k]])
             took = idx[k[j]]
             kept = U2.shape[:-1] + (j.size,)
             U[..., took] = _columns(U2, j, work.take("AU", kept, complex))
             B[..., took] = _columns(B2, j, work.take("adj", kept, complex))
-            r[:, took], r2[took] = rr[:, j], rr2[j]
+            r2[took] = rr2[j]
             searching[k[j]] = False
             if not searching.any():
                 break
@@ -966,29 +963,20 @@ def gauss_newton_reduce(
         live[idx[searching]] = False
         # no view of the workspace outlives the loop
         del Bw, J, coef, X, Uw, trial, U2, B2
-    _newton_schulz(U, work)
-    del work, B, r
-    B = _conjugates(A, U)
-    r = _residuals(B, rows, cols)
-    return (
-        np.ascontiguousarray(np.moveaxis(U, -1, 0)),
-        np.ascontiguousarray(np.moveaxis(B, -1, 0)),
-        np.einsum("ir,ir->r", r, r),
-        steps,
-    )
-
-
-def _newton_schulz(U: np.ndarray, work: _Workspace) -> None:
-    """One Newton-Schulz step toward the polar factor, U <- 1.5 U - 0.5 U U* U,
-    in place on the stack U, over ``work.width`` matrices at a time.  Every
-    entry is computed as over the whole stack at once."""
-    for a in range(0, U.shape[-1], work.width):
-        Uc = U[..., a : a + work.width]
-        S = work.take("S", Uc.shape, complex)
-        adj = _adjoint(Uc, work.take("Ustar", Uc.shape, complex))
-        G = _mm(adj, Uc, work.take("UstarU", Uc.shape, complex), S)
-        H = _mm(Uc, G, work.take("UUstarU", Uc.shape, complex), S)
-        np.subtract(np.multiply(1.5, Uc, out=S), np.multiply(0.5, H, out=H), out=Uc)
+    for a in range(0, R, work.width):
+        s = slice(a, a + work.width)
+        # one Newton-Schulz step toward the polar factor, U <- 1.5 U -
+        # 0.5 U U* U, in place, then the conjugates of the endpoints
+        Us = U[..., s]
+        S = work.take("S", Us.shape, complex)
+        adj = _adjoint(Us, work.take("Ustar", Us.shape, complex))
+        G = _mm(adj, Us, work.take("UstarU", Us.shape, complex), S)
+        H = _mm(Us, G, work.take("UUstarU", Us.shape, complex), S)
+        np.subtract(np.multiply(1.5, Us, out=S), np.multiply(0.5, H, out=H), out=Us)
+        B[..., s], r2[s] = _evaluate(A, Us, rows, cols, work)
+    del work, Us, S, adj, G, H
+    U = np.ascontiguousarray(np.moveaxis(U, -1, 0))
+    return U, np.ascontiguousarray(np.moveaxis(B, -1, 0)), r2, steps
 
 
 def _same_flag(F: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -1021,13 +1009,17 @@ def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> Flag
     clustering the converged endpoints of random-restart Gauss-Newton runs.
 
     A must be a finite n x n matrix with n in {2, 3, 4} and I a pattern in
-    its grid (ValueError otherwise, as for a zero traceless part); it is made
-    traceless and normalized to unit Frobenius norm first.  Each restart
-    takes up to 60 Gauss-Newton steps and has converged when its squared
-    residual is at most RESID_TOL; the converged endpoints are clustered by
-    flag (``_flag_clusters``), each cluster represented by its founder.  A
-    flag is evidence of orbit intersection; none after the restart budget is
-    evidence of nothing.  All restarts go through one ``gauss_newton_reduce``
+    its grid with at least mu(n) independent positions, all of them unless
+    I holds the whole diagonal, where the trace fixes one (ValueError
+    otherwise, as for a zero traceless part).  With fewer, the reductions
+    of a generic A form continua, which the clusters only sample; defective
+    patterns (``is_defective``) give continua too, which this check does
+    not catch.  A is made traceless and normalized to unit Frobenius norm
+    first.  Each restart takes up to 60 Gauss-Newton steps and has
+    converged when its squared residual is at most RESID_TOL; the converged
+    endpoints are clustered by flag (``_flag_clusters``), each cluster
+    represented by its founder.  A flag is evidence of orbit intersection;
+    none after the restart budget is evidence of nothing.  All restarts go through one ``gauss_newton_reduce``
     call from the first ``restarts`` Haar draws of default_rng(seed)
     (ValueError unless 1 <= restarts <= MAX_RESTARTS); it steps at most
     _BLOCK of them at a time, so a budget up to _BLOCK (the default among
@@ -1040,6 +1032,12 @@ def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> Flag
         raise ValueError(f"reducer is budgeted for n in {{2, 3, 4}}, got {A.shape}")
     A = _square(A, n)
     I.check_within(n)
+    independent = len(I) - all((i, i) in I for i in range(1, n + 1))
+    if independent < mu(n):
+        raise ValueError(
+            f"pattern has {independent} independent positions, fewer than "
+            f"mu({n}) = {mu(n)}: its reductions form continua"
+        )
     A = A - np.trace(A) / n * np.eye(n)
     s = float(np.linalg.norm(A))
     if s == 0.0:

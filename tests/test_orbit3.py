@@ -32,7 +32,7 @@ from zeropat.orbit3 import (
     torus_equivalent,
     _p_expanded,
 )
-from zeropat.patterns import Pattern, ne
+from zeropat.patterns import Pattern, delta, ne
 
 
 def test_invariants_zero_matrix():
@@ -106,6 +106,19 @@ def test_p2_ratio():
         assert abs(poly_P2_ratio(M)) <= 1e-9 * s**12
     with pytest.raises(ValueError):
         poly_P2_ratio(GAMMA1_MATRIX)  # P1 vanishes there
+
+
+def test_p2_ratio_refuses_where_its_scale_underflows():
+    # the zero matrix and a scale whose sixth power underflows once raised
+    # ZeroDivisionError; where only s^24 underflows, P read 0 or kept a few
+    # digits (1e-20 and 1e-13)
+    A = random_cyclic_subspace(np.random.default_rng(17))
+    for scale in (0.0, 1e-200, 1e-20, 1e-13):
+        with pytest.raises(ValueError, match="too small"):
+            poly_P2_ratio(scale * A)
+    for scale in (1e-10, 1e5):
+        want = scale**12 * poly_P2_ratio(A)
+        assert abs(poly_P2_ratio(scale * A) - want) <= 1e-9 * abs(want)
 
 
 def test_certificate_degenerate_cases():
@@ -208,6 +221,13 @@ def test_numeric_reduce_validation():
             count_reductions(B, ne(3), restarts=5)
     with pytest.raises(ValueError, match="zero matrix"):
         count_reductions(np.eye(4), ne(4), restarts=5)
+    # fewer than mu(n) independent positions: the whole diagonal of a
+    # traceless matrix holds one dependent position
+    for I, k in ((Pattern(), 0), (delta(3), 2), (Pattern([(1, 2), (2, 3)]), 2)):
+        with pytest.raises(ValueError, match=f"pattern has {k} independent"):
+            count_reductions(A, I, restarts=5)
+    full = Pattern(list(delta(3)) + [(1, 2)])
+    assert count_reductions(A, full, restarts=5).n_restarts == 5
     with pytest.raises(ValueError, match="at least one restart"):
         count_reductions(A, ne(3), restarts=0)
     # checked before the starts are drawn
@@ -572,10 +592,9 @@ def test_count_flags_does_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_a_full_window_stays_lean(monkeypatch):
-    # one window of 2000 restarts peaks at 3.45 MB traced in its workspace,
-    # 3.8 MB when each iteration allocated its stacks; the same window
-    # holding each iteration's Jacobians and trial matrices until the next
-    # ones were built peaked at 6.8 MB, and windows of 512 at 2.6 MB
+    # one window of 2000 restarts peaks at 3.34 MB traced, most of it the
+    # workspace; the same window holding each iteration's Jacobians and
+    # trial matrices until the next ones were built peaked at 6.8 MB
     A = flags3_panel(0)
     count_flags(A, restarts=20)  # the cached tables are built outside the trace
     widest = []
@@ -597,10 +616,10 @@ def test_a_full_window_stays_lean(monkeypatch):
 
 
 def test_a_large_count_stays_lean():
-    # 8000 restarts run as four windows; the Newton-Schulz step over the
-    # whole stack once peaked at 8.86 MB traced, with the starts held twice,
-    # and the Haar draws made all at once at 6.16 MB.  The count now peaks
-    # at 5.91 MB
+    # 8000 restarts run as four windows, and the count peaks at 5.89 MB
+    # traced; the Newton-Schulz step over the whole stack once peaked at
+    # 8.86 MB, with the starts held twice, and the Haar draws made all at
+    # once at 6.16 MB
     A = flags3_panel(0)
     count_flags(A, restarts=20)  # the cached tables are built outside the trace
     tracemalloc.start()
@@ -739,6 +758,16 @@ def _fresh_take(self, name, shape, dtype=float):
     return np.empty(shape, dtype)
 
 
+class _Fresh:
+    """A workspace for calling a kernel alone: every stack it takes is a
+    fresh array, so no result is overwritten by a later call."""
+
+    take = _fresh_take
+
+
+FRESH = _Fresh()
+
+
 def _packed_and_fresh(monkeypatch, run):
     """run() with the packed workspace and with every stack taken fresh."""
     packed = run()
@@ -772,22 +801,19 @@ def test_a_packed_workspace_keeps_every_bit(n, monkeypatch):
 
 def test_count_reductions_at_n4_on_three_positions(monkeypatch):
     # the hand-laid workspace once put the step coefficients and P = [Re X;
-    # Im X] in overlapping floats here, and refused every such pattern
-    stacks = []
-    reduce = orbit3.gauss_newton_reduce
-
-    def recording(*args):
-        stacks.append(reduce(*args))
-        return stacks[-1]
-
-    monkeypatch.setattr(orbit3, "gauss_newton_reduce", recording)
+    # Im X] in overlapping floats for every pattern of 3 positions at n = 4.
+    # count_reductions refuses such a pattern, whose reductions form
+    # continua, but the reducer still steps it with every bit kept
     A = random_traceless(np.random.default_rng(9), 4)
-    I = Pattern([(1, 2), (2, 3), (3, 4)])
+    I = [(1, 2), (2, 3), (3, 4)]
+    starts = haar_unitaries(np.random.default_rng(3), 200, 4)
     packed, fresh = _packed_and_fresh(
-        monkeypatch, lambda: count_reductions(A, I, restarts=200, seed=3)
+        monkeypatch, lambda: orbit3.gauss_newton_reduce(A, starts, I, 60)
     )
-    assert packed.num_flags == fresh.num_flags > 0
-    assert_same_stacks(*stacks)
+    assert (packed[2] <= orbit3.RESID_TOL).sum() > 100
+    assert_same_stacks(packed, fresh)
+    with pytest.raises(ValueError, match="3 independent positions"):
+        count_reductions(A, Pattern(I))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -795,31 +821,60 @@ def test_the_workspace_takes_no_more_than_its_largest_live_set(n):
     for k in range(1, n * n + 1):
         work = orbit3._Workspace(n, 2 * k, 3)
         slots = work.slots
+        live = [[name for name in names if name in slots] for names in orbit3._LIVE]
         largest = max(
-            sum(slots[name][1] - slots[name][0] for name in names)
-            for names in orbit3._LIVE
+            sum(slots[name][1] - slots[name][0] for name in names) for names in live
         )
         assert work.buf.size == 3 * largest
-        for names in orbit3._LIVE:
+        for names in live:
             runs = sorted(slots[name] for name in names)
             assert all(end <= start for (_, end), (start, _) in zip(runs, runs[1:]))
-    # as the hand-laid layouts were
-    want = {2: (2, 64), 3: (6, 144), 4: (12, 402)}[n]
+    # the closed-form names are laid out at n = 3 only, and no residual
+    # stack is held: 64, 144 and 402 floats when both were
+    want = {2: (2, 32), 3: (6, 144), 4: (12, 390)}[n]
     assert orbit3._Workspace(n, want[0], 1).buf.size == want[1]
 
 
 def test_a_count_takes_every_live_name(monkeypatch):
-    # a name no kernel takes any longer would keep its floats in the layout
-    taken = set()
+    # a name no kernel takes would keep its floats in the layout: a count
+    # takes every name its workspace lays out, at n = 3 every name of _LIVE
+    taken, laid_out = set(), set()
     take = orbit3._Workspace.take
 
     def recording(self, name, *args):
         taken.add(name)
+        laid_out.update(self.slots)
         return take(self, name, *args)
 
     monkeypatch.setattr(orbit3._Workspace, "take", recording)
     count_flags(flags3_panel(0), restarts=50)
-    assert taken == {name for names in orbit3._LIVE for name in names}
+    assert taken == laid_out == {name for names in orbit3._LIVE for name in names}
+    rng = np.random.default_rng(7)
+    for n, I in ((2, ne(2)), (4, EXCEPTIONAL_4[0])):
+        taken.clear()
+        laid_out.clear()
+        count_reductions(random_traceless(rng, n), I, restarts=50)
+        assert taken == laid_out
+        assert not taken & orbit3._EXP3_NAMES
+
+
+def test_every_conjugation_of_a_count_takes_the_call_workspace(monkeypatch):
+    # the starts at entry and the endpoints at exit are conjugated through
+    # the workspace too, _BLOCK starts at a time: 3000 restarts make two
+    # windows of each
+    works = []
+    conjugates = orbit3._conjugates
+
+    def recording(A, U, work=None):
+        works.append(work)
+        assert U.shape[-1] <= orbit3._BLOCK
+        return conjugates(A, U, work)
+
+    monkeypatch.setattr(orbit3, "_conjugates", recording)
+    count_flags(flags3_panel(0), restarts=3000)
+    assert len(works) > 4
+    assert all(isinstance(work, orbit3._Workspace) for work in works)
+    assert len({id(work) for work in works}) == 1
 
 
 @pytest.mark.parametrize(
@@ -856,14 +911,14 @@ def _pattern_jacobians(A, I, count, rng):
     the stack axis first."""
     n = A.shape[0]
     rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
-    B = orbit3._conjugates(A, _last(haar_unitaries(rng, count, n)))
-    J = orbit3._pattern_jacobian(B, orbit3._jacobian_table(n, rows, cols))
+    B = orbit3._conjugates(A, _last(haar_unitaries(rng, count, n)), FRESH)
+    J = orbit3._pattern_jacobian(B, orbit3._jacobian_table(n, rows, cols), FRESH)
     return np.moveaxis(J, -1, 0), orbit3._residuals(B, rows, cols).T
 
 
 def _stack_first_steps(J, r):
     """``orbit3._min_norm_steps`` on stacks with the stack axis first."""
-    x, svd_rows = orbit3._min_norm_steps(_last(J), r.T)
+    x, svd_rows = orbit3._min_norm_steps(_last(J), r.T, FRESH)
     return x.T, svd_rows
 
 
@@ -911,7 +966,8 @@ def test_jacobian_table_matches_the_commutator_stack(n, positions):
     rng = np.random.default_rng(80 + n + len(positions))
     B = rng.normal(size=(25, n, n)) + 1j * rng.normal(size=(25, n, n))
     rows, cols = np.array(positions, dtype=np.intp).T - 1
-    J = orbit3._pattern_jacobian(_last(B), orbit3._jacobian_table(n, rows, cols))
+    work = orbit3._Workspace(n, 2 * len(rows), len(B))
+    J = orbit3._pattern_jacobian(_last(B), orbit3._jacobian_table(n, rows, cols), work)
     assert J.shape == (2 * len(positions), n * n, len(B))
     pos0 = list(zip(rows, cols))
     for k, Bk in enumerate(B):
@@ -921,7 +977,7 @@ def test_jacobian_table_matches_the_commutator_stack(n, positions):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_basis_table_assembles_the_steps(n):
     coef = np.random.default_rng(90 + n).normal(size=(n * n, 30))
-    X = orbit3._skew_combinations(orbit3._basis_table(n), coef)
+    X = orbit3._skew_combinations(orbit3._basis_table(n), coef, FRESH)
     assert X.shape == (n, n, 30)
     want = np.tensordot(coef, skew_hermitian_basis(n), (0, 0))
     assert np.max(np.abs(np.moveaxis(X, -1, 0) - want)) <= 1e-15
@@ -983,7 +1039,7 @@ def _exp3_cases():
 def test_exp3_matches_the_eigh_oracle(case):
     X = _exp3_cases()[case]
     I = np.broadcast_to(np.eye(3), X.shape)
-    trial = orbit3._exp3_trials(_last(I), _last(X))
+    trial = orbit3._exp3_trials(_last(I), _last(X), FRESH)
     # every step length of the line search
     for t in 0.5 ** np.arange(10):
         got = np.moveaxis(trial(t, np.arange(len(X))), -1, 0)
@@ -999,7 +1055,7 @@ def test_exp3_of_zero_is_the_identity():
     X = np.zeros((2, 3, 3), dtype=complex)
     # a zero traceless part: exp(t X) is the scalar e^{-0.3 i t}
     X[1] = -0.3j * np.eye(3)
-    trial = orbit3._exp3_trials(_last(U), _last(X))
+    trial = orbit3._exp3_trials(_last(U), _last(X), FRESH)
     for t in 0.5 ** np.arange(10):
         got = np.moveaxis(trial(t, np.arange(2)), -1, 0)
         assert np.array_equal(got[0], U[0])
