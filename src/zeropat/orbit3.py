@@ -275,9 +275,10 @@ def poly_p_from_invariants(ivec) -> float:
 def poly_P(X) -> float:
     """The degree-24 invariant polynomial on traceless 3 x 3 matrices.
 
-    Evaluated on the unit-norm rescaling and scaled back, so the relative
-    precision is uniform across input scales.
-    """
+    Evaluated on the unit-norm rescaling and scaled back by s^24, s = ||X||,
+    so the relative precision is uniform while s^24 is a normal float, s
+    above about 1.5e-13.  Below, the result is subnormal, with fewer
+    digits, or 0."""
     X = _square(X)
     s = float(np.linalg.norm(X))
     if s == 0.0:
@@ -304,7 +305,9 @@ def _cyclic_entries(A):
 
 def poly_P1(A) -> float:
     """Degree-6 polynomial on the cyclic pattern subspace whose zero set is
-    exactly the locus of non-transversal orbit intersection."""
+    exactly the locus of non-transversal orbit intersection.  Scaled back by
+    s^6, s = ||A||, from the unit-norm rescaling like ``poly_P``, so it is
+    subnormal or 0 for s below about 5e-52."""
     u, v, w, x, y, z = _cyclic_entries(A)
     s = float(np.linalg.norm(np.asarray(A)))
     if s == 0.0:
@@ -416,20 +419,28 @@ def _pattern_jacobian(B: np.ndarray, table: np.ndarray, work) -> np.ndarray:
 
 # -- the Gauss-Newton reducer -------------------------------------------------------
 
+# The reducer, its starts and the clustering keep a stack of R small n x m
+# matrices as an (n, m, R) array, the stack axis last: every elementwise
+# operation then runs over the whole stack in one inner loop, where a
+# leading stack axis gives inner loops of length m.  A single matrix enters
+# a product with such stacks as (n, m, 1).
+
 #: live starts that one Gauss-Newton iteration reduces together: the first
 #: _BLOCK in restart order, refilled as starts finish, and the starts that
 #: the entry and exit of a reducer call conjugate at a time.  A fixed window
 #: bounds the memory of the stacked Jacobians and trial matrices whatever
-#: the restart budget, and refilling keeps it full while slow starts run to
-#: max_iter.  The window's stacks live in one ``_Workspace`` per reducer
-#: call, 1152 bytes per start at n = 3, so a full window takes 2.36 MB,
-#: allocated once.  2048 holds the default budget of 2000 restarts in one
-#: window, so each iteration and each trial step length pays its fixed cost
-#: of a few dozen small numpy calls once for all of them
+#: the restart budget (one ``_Workspace`` per call, 2.36 MB at n = 3), and
+#: refilling keeps it full while slow starts run to MAX_STEPS.  2048 holds
+#: the default budget of 2000 restarts in one window, so each iteration and
+#: each trial step length pays its fixed cost of a few dozen small numpy
+#: calls once for all of them
 _BLOCK = 2048
 
 #: squared pattern residual at or below which a reduction has converged
 RESID_TOL = 1e-18
+
+#: Gauss-Newton steps a start attempts at most
+MAX_STEPS = 60
 
 #: tolerance on unit-norm matrices of the diagonal-torus conjugacy test
 TORUS_TOL = 1e-7
@@ -441,8 +452,8 @@ FLAG_TOL = 1e-4
 
 #: restarts one count accepts at most: every start is held at once, and from
 #: a few thousand restarts on the endpoints, their conjugates and their
-#: clustering set a count's traced peak at about 0.71 kB per start (5.89 MB
-#: at 8000, 11.4 MB at 16,000), so 10**6 take about 0.71 GB
+#: clustering set a count's traced peak at about 0.4 kB per start (7.78 MB
+#: at 16,000, 26.2 MB at 64,000), so 10**6 take about 0.4 GB
 MAX_RESTARTS = 10**6
 
 #: smallest Cholesky pivot of the Gram matrix J J^T, relative to the mean of
@@ -494,23 +505,24 @@ class FlagCensus:
 
 
 def haar_unitaries(rng, count: int, n: int) -> np.ndarray:
-    """``count`` Haar-distributed n x n unitaries, shape (count, n, n): QR of
-    complex Gaussian matrices with the phases of R's diagonal moved into Q.
-    Draws the same numbers, in the same order, as ``count`` calls of
-    ``haar_unitary``.  The starts are drawn and factored _BLOCK at a time,
-    so the draws and factors of a large count are never all held at once."""
-    chunks = []
+    """``count`` Haar-distributed n x n unitaries, a C-contiguous (n, n,
+    count) stack: QR of complex Gaussian matrices with the phases of R's
+    diagonal moved into Q, the same numbers in the same order as ``count``
+    calls of ``haar_unitary``.  They are drawn and factored (stack first, by
+    LAPACK) _BLOCK at a time, so a large count never holds all its draws."""
+    U = np.empty((n, n, count), dtype=complex)
     for a in range(0, count, _BLOCK):
         Z = rng.normal(size=(min(_BLOCK, count - a), 2, n, n))
-        Q, R = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])
-        d = np.diagonal(R, axis1=-2, axis2=-1)
-        chunks.append(Q * (d / np.abs(d))[:, None, :])
+        Z = Z[:, 0] + 1j * Z[:, 1]  # the real draws are not held through the QR
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R, axis1=-2, axis2=-1).T
+        np.multiply(Q.transpose(1, 2, 0), d / np.abs(d), out=U[..., a : a + len(Z)])
         del Z, Q, R, d  # so that the next chunk draws with none of them held
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return U
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
-    return haar_unitaries(rng, 1, n)[0]
+    return haar_unitaries(rng, 1, n)[..., 0]
 
 
 def random_traceless(rng, n: int = 3) -> np.ndarray:
@@ -524,12 +536,6 @@ def random_cyclic_subspace(rng) -> np.ndarray:
     u, v, x, y, z = (rng.normal() + 1j * rng.normal() for _ in range(5))
     A = np.array([[u, z, 0], [0, v, x], [y, 0, -u - v]], dtype=complex)
     return A / np.linalg.norm(A)
-
-
-# The reducer keeps a stack of R small n x m matrices as an (n, m, R) array,
-# the stack axis last: every elementwise operation then runs over the whole
-# stack in one inner loop, where a leading stack axis gives inner loops of
-# length m.  A single matrix enters a product with such stacks as (n, m, 1).
 
 
 #: the window stacks that one step of a reducer iteration holds at once, by
@@ -863,14 +869,11 @@ def _min_norm_steps(
 
 
 def gauss_newton_reduce(
-    A: np.ndarray,
-    U0: np.ndarray,
-    positions,
-    max_iter: int,
+    A: np.ndarray, U0: np.ndarray, positions
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Drive the pattern entries of U* A U to zero by Gauss-Newton steps in
     the exponential chart of the unitary group, from each start of the stack
-    U0 of shape (R, n, n), re-unitarizing at the end.
+    U0 of shape (n, n, R), re-unitarizing at the end.
 
     The residual is the stacked real and imaginary parts of the constrained
     entries; its squared norm is the quantity thresholded by RESID_TOL.  A
@@ -883,7 +886,7 @@ def gauss_newton_reduce(
     for the first pattern of EXCEPTIONAL_4.  The step is halved up to nine
     times until the residual strictly drops.  A start stops when its
     residual is at most RESID_TOL, when no step length lowers it, or after
-    max_iter attempted steps.
+    MAX_STEPS attempted steps.
 
     A trial point U exp(t X) comes at n = 3 from the closed-form exponential
     of ``_exp3_trials``, whose t-independent matrices are formed once per
@@ -894,11 +897,10 @@ def gauss_newton_reduce(
     factor.  At n = 3 an iteration makes no per-matrix LAPACK or BLAS call
     unless a rank-deficient Jacobian takes the SVD step.
 
-    The stacks are held with the stack axis last (see ``_mm``) and returned
-    with it first.  Each iteration steps the first _BLOCK live starts in
-    restart order, so the window refills from the waiting starts as others
-    stop.  A call holds the starts, stepped in place in a C-contiguous
-    stack-last copy of U0 (a caller that keeps no reference to U0, as
+    Each iteration steps the first _BLOCK live starts in restart order, so
+    the window refills from the waiting starts as others stop.  A call
+    holds the starts, stepped in place in a C-contiguous copy of U0 (U0 is
+    never written, and a caller that keeps no reference to it, as
     ``count_reductions``, holds them once), their conjugates and their
     squared residuals.  Every other stack lives in one ``_Workspace``: those
     of an iteration, and at entry and exit, ``work.width`` starts at a time,
@@ -906,16 +908,14 @@ def gauss_newton_reduce(
     allocates only arrays of a few floats per start.  The starts share no
     state, but a start's place in the stack can change the rounding of the
     product A @ U and of the residual and Gram ``einsum`` calls, so its path
-    depends on the window at rounding level: on panel matrix 2 of the
-    flags3 benchmark, a window of 37 moves endpoints by up to 5.5e-14 and
-    changes the step counts of stalled starts, though no start switches
-    between converged and not.
+    depends on the window at rounding level (see ``count_reductions``).
 
-    Returns (unitaries, reduced, residuals, steps): the endpoints, U* A U at
-    each, their squared residuals and the number of steps each start took.
+    Returns (unitaries, reduced, residuals, steps): the endpoints and U* A U
+    at each, C-contiguous (n, n, R) stacks, their squared residuals and the
+    number of steps each start took.
     """
     # C order, so a window's gather by np.take does not copy the whole stack
-    U = np.array(np.moveaxis(U0, 0, -1), dtype=complex, order="C")
+    U = np.array(U0, dtype=complex, order="C")
     del U0
     n, R = A.shape[0], U.shape[-1]
     rows = np.array([i - 1 for i, _ in positions], dtype=np.intp)
@@ -930,7 +930,7 @@ def gauss_newton_reduce(
     while True:
         # a start leaves ``live`` at its first failed line search, so a live
         # start has taken a step at each of its attempts
-        live &= (r2 > RESID_TOL) & (steps < max_iter)
+        live &= (r2 > RESID_TOL) & (steps < MAX_STEPS)
         idx = np.flatnonzero(live)[:_BLOCK]
         if idx.size == 0:
             break
@@ -974,32 +974,31 @@ def gauss_newton_reduce(
         H = _mm(Us, G, work.take("UUstarU", Us.shape, complex), S)
         np.subtract(np.multiply(1.5, Us, out=S), np.multiply(0.5, H, out=H), out=Us)
         B[..., s], r2[s] = _evaluate(A, Us, rows, cols, work)
-    del work, Us, S, adj, G, H
-    U = np.ascontiguousarray(np.moveaxis(U, -1, 0))
-    return U, np.ascontiguousarray(np.moveaxis(B, -1, 0)), r2, steps
+    return U, B, r2, steps
 
 
 def _same_flag(F: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Whether unitaries F and U, stacks that broadcast, give the same flag:
-    the off-diagonal part of F* U has norm at most FLAG_TOL.  F* U is
-    unitary, so that norm squared is n - sum_i |(F* U)_ii|^2, and only the
-    diagonal is formed."""
-    d = np.einsum("...ji,...ji->...i", F.conj(), U)
-    return U.shape[-1] - (d.real**2 + d.imag**2).sum(axis=-1) <= FLAG_TOL**2
+    """Whether unitaries F and U, stacks of shape (n, n, ...) that
+    broadcast, give the same flag: the off-diagonal part of F* U has norm at
+    most FLAG_TOL.  F* U is unitary, so that norm squared is n - sum_i
+    |(F* U)_ii|^2, and only the diagonal is formed."""
+    d = np.einsum("ji...,ji...->i...", F.conj(), U)
+    return U.shape[0] - (d.real**2 + d.imag**2).sum(axis=0) <= FLAG_TOL**2
 
 
-def _flag_clusters(U: np.ndarray) -> np.ndarray:
-    """Cluster label of each unitary of the stack U, in order of appearance.
-    The first unitary no cluster holds founds the next one, which takes
-    every unlabeled unitary giving the same flag (``_same_flag``)."""
-    labels = np.full(len(U), -1, dtype=np.intp)
-    unlabeled = np.arange(len(U))
+def _flag_clusters(U: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Cluster label of each unitary of the (n, n, R) stack U where free
+    holds, in order of appearance, -1 elsewhere.  The first unlabeled one
+    founds the next cluster, of every unlabeled one of its flag (``_same_flag``)."""
+    labels = np.full(U.shape[-1], -1, dtype=np.intp)
+    free = free.copy()
     k = 0
-    while unlabeled.size:
-        match = _same_flag(U[unlabeled[0]], U[unlabeled])
-        match[0] = True
-        labels[unlabeled[match]] = k
-        unlabeled = unlabeled[~match]
+    while free.any():
+        f = np.argmax(free)
+        match = _same_flag(U[..., f, None], U) & free
+        match[f] = True
+        labels[match] = k
+        free &= ~match
         k += 1
     return labels
 
@@ -1015,17 +1014,17 @@ def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> Flag
     of a generic A form continua, which the clusters only sample; defective
     patterns (``is_defective``) give continua too, which this check does
     not catch.  A is made traceless and normalized to unit Frobenius norm
-    first.  Each restart takes up to 60 Gauss-Newton steps and has
+    first.  Each restart takes up to MAX_STEPS Gauss-Newton steps and has
     converged when its squared residual is at most RESID_TOL; the converged
     endpoints are clustered by flag (``_flag_clusters``), each cluster
     represented by its founder.  A flag is evidence of orbit intersection;
-    none after the restart budget is evidence of nothing.  All restarts go through one ``gauss_newton_reduce``
-    call from the first ``restarts`` Haar draws of default_rng(seed)
-    (ValueError unless 1 <= restarts <= MAX_RESTARTS); it steps at most
-    _BLOCK of them at a time, so a budget up to _BLOCK (the default among
-    them) runs as one window.  The window can move the endpoints and the
-    step counts of stalled restarts at rounding level but has not been seen
-    to change a count or a cluster."""
+    none after the restart budget is evidence of nothing.  All restarts go
+    through one ``gauss_newton_reduce`` call from the first ``restarts``
+    Haar draws of default_rng(seed) (ValueError unless 1 <= restarts <=
+    MAX_RESTARTS); it steps at most _BLOCK of them at a time, so a budget up
+    to _BLOCK (the default among them) runs as one window.  The window can
+    move the endpoints and the step counts of stalled restarts at rounding
+    level but has not been seen to change a count or a cluster."""
     A = np.asarray(A, dtype=complex)
     n = len(A) if A.ndim else 0
     if n not in (2, 3, 4):
@@ -1046,26 +1045,27 @@ def count_reductions(A, I: Pattern, restarts: int = 2000, seed: int = 0) -> Flag
         raise ValueError(f"need at least one restart, got {restarts}")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"at most {MAX_RESTARTS} restarts, got {restarts}")
-    # no reference to the starts is kept here, so the reducer's stack-last
-    # copy of them is the only one held while it runs
+    # no reference to the starts is kept here, so the reducer's copy of them
+    # is the only one held while it runs
     U, B, res, taken = gauss_newton_reduce(
-        A / s, haar_unitaries(np.random.default_rng(seed), restarts, n), list(I), 60
+        A / s, haar_unitaries(np.random.default_rng(seed), restarts, n), list(I)
     )
-    converged = np.flatnonzero(res <= RESID_TOL)
-    _, first, hits = np.unique(
-        _flag_clusters(U[converged]), return_index=True, return_counts=True
+    labels, first, hits = np.unique(
+        _flag_clusters(U, res <= RESID_TOL), return_index=True, return_counts=True
     )
-    founders = converged[first]
+    founders, hits = first[labels >= 0], hits[labels >= 0]
+    n_converged = int(hits.sum())  # each converged restart is in one cluster
     return FlagCensus(
         num_flags=int(founders.size),
         # copies, so a census does not keep every endpoint of the run alive
         solutions=[
-            FlagSolution(U[k].copy(), B[k].copy(), float(res[k])) for k in founders
+            FlagSolution(U[..., k].copy(), B[..., k].copy(), float(res[k]))
+            for k in founders
         ],
         cluster_hits=hits.tolist(),
         n_restarts=restarts,
-        n_converged=int(converged.size),
-        incomplete=converged.size < max(10, restarts // 200),
+        n_converged=n_converged,
+        incomplete=n_converged < max(10, restarts // 200),
         last_new_cluster=int(founders[-1]) if founders.size else None,
         gn_iterations=np.bincount(taken).tolist(),
     )
@@ -1104,10 +1104,10 @@ def count_flags(A, restarts: int = 2000, seed: int = 0) -> FlagCensus:
     sample with a cluster whose |P1| is below 1e-6 is marked non-generic.
     The clusters are grouped by P1 rounded to TORUS_TOL."""
     census = count_reductions(_square(A), CYCLIC_PATTERN, restarts, seed)
-    U = np.array([r.unitary for r in census.solutions]).reshape(-1, 3, 3)
+    U = np.array([r.unitary.ravel() for r in census.solutions]).T.reshape(3, 3, -1)
     p1 = np.array([poly_P1(r.reduced) for r in census.solutions], dtype=float)
     # each image flag U z^T against the flag of every cluster
-    match = _same_flag(U[None], (U @ CYCLE_MATRIX.T)[:, None])
+    match = _same_flag(U[:, :, None], _mm(U, CYCLE_MATRIX.T[..., None])[..., None])
     # the first match in each row decides, and it must carry the row's P1
     first = match & (np.cumsum(match, axis=1) == 1)
     same_p1 = np.abs(p1[:, None] - p1[None]) <= 1e-6

@@ -493,12 +493,16 @@ def test_count_flags_matches_the_restart_loop(k):
     assert got.n_converged < 150 if slow else got.n_converged > 290
 
 
-def test_haar_unitaries_match_a_loop_of_haar_unitary():
-    for n in (2, 3, 4):
-        rng = np.random.default_rng(n)
-        loop = [haar_unitary(rng, n) for _ in range(40)]
-        batch = haar_unitaries(np.random.default_rng(n), 40, n)
-        assert np.array_equal(batch, np.stack(loop))
+def test_haar_unitaries_match_a_loop_of_haar_unitary(monkeypatch):
+    # in one chunk, and with a block of 16 in chunks of 16, 16 and 8
+    for block in (orbit3._BLOCK, 16):
+        monkeypatch.setattr(orbit3, "_BLOCK", block)
+        for n in (2, 3, 4):
+            rng = np.random.default_rng(n)
+            loop = [haar_unitary(rng, n) for _ in range(40)]
+            batch = haar_unitaries(np.random.default_rng(n), 40, n)
+            assert batch.shape == (n, n, 40) and batch.flags.c_contiguous
+            assert np.array_equal(batch, np.stack(loop, axis=-1))
 
 
 def test_haar_draws_stay_lean():
@@ -540,7 +544,7 @@ def test_torus_equivalent_matches_the_scalar_loop():
 @pytest.mark.parametrize("n", [3, 4])
 def test_flag_clusters_match_the_planted_flags(n):
     rng = np.random.default_rng(40 + n)
-    founders = list(haar_unitaries(rng, 3, n))
+    founders = [haar_unitary(rng, n) for _ in range(3)]
     # the same lines as founder 0 in another order: a different flag
     founders.append(founders[0][:, np.roll(np.arange(n), 1)])
     planted, unitaries = [], []
@@ -552,11 +556,18 @@ def test_flag_clusters_match_the_planted_flags(n):
             U = U + 1e-9 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         planted.append(j)
         unitaries.append(U)
-    labels = orbit3._flag_clusters(np.stack(unitaries))
+    U, free = np.stack(unitaries, axis=-1), np.ones(80, dtype=bool)
+    labels = orbit3._flag_clusters(U, free)
     # clusters are numbered in order of appearance
     order = list(dict.fromkeys(planted))
     assert len(order) == len(founders)
     assert labels.tolist() == [order.index(j) for j in planted]
+    # a masked unitary takes no label, and the rest cluster as if alone
+    free[rng.random(80) < 0.3] = False
+    masked = orbit3._flag_clusters(U, free)
+    assert free.sum() < 70 and (masked[~free] == -1).all()
+    alone = orbit3._flag_clusters(U[..., free], np.ones(free.sum(), dtype=bool))
+    assert masked[free].tolist() == alone.tolist()
 
 
 def test_count_flags_with_no_converged_restart(monkeypatch):
@@ -616,19 +627,21 @@ def test_a_full_window_stays_lean(monkeypatch):
 
 
 def test_a_large_count_stays_lean():
-    # 8000 restarts run as four windows, and the count peaks at 5.89 MB
+    # 8000 restarts run as four windows, and the count peaks at 5.28 MB
     # traced; the Newton-Schulz step over the whole stack once peaked at
     # 8.86 MB, with the starts held twice, and the Haar draws made all at
-    # once at 6.16 MB
+    # once at 6.16 MB.  16,000 restarts peak at 7.78 MB; clustering gathered
+    # copies of the endpoints, stack first, took them to 11.40 MB
     A = flags3_panel(0)
     count_flags(A, restarts=20)  # the cached tables are built outside the trace
-    tracemalloc.start()
-    try:
-        count_flags(A, restarts=8000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7e6
+    for restarts, bound in ((8000, 7e6), (16000, 9.5e6)):
+        tracemalloc.start()
+        try:
+            count_flags(A, restarts=restarts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, restarts
 
 
 def test_a_count_runs_through_the_module_reducer(monkeypatch):
@@ -643,7 +656,7 @@ def test_a_count_runs_through_the_module_reducer(monkeypatch):
 
     monkeypatch.setattr(orbit3, "gauss_newton_reduce", recording)
     count_flags(flags3_panel(0), restarts=30)
-    assert calls == [(30, 3, 3)]
+    assert calls == [(3, 3, 30)]
 
 
 def test_the_iterations_of_a_call_share_one_workspace(monkeypatch):
@@ -686,7 +699,7 @@ def test_count_flags_reports_an_open_z_orbit(monkeypatch):
 
 
 def test_the_window_bounds_the_stacked_jacobians(monkeypatch):
-    # panel matrix 2 has many restarts that run to max_iter, so the window
+    # panel matrix 2 has many restarts that run to MAX_STEPS, so the window
     # refills while slow restarts hold their places in it
     rows = []
     solve = orbit3._min_norm_steps
@@ -706,20 +719,15 @@ def test_each_start_keeps_its_own_step_budget_in_the_window(monkeypatch):
     # ones wait for their place in the window; each must stop where it would
     # stop alone
     monkeypatch.setattr(orbit3, "_BLOCK", 16)
+    monkeypatch.setattr(orbit3, "MAX_STEPS", 3)
     A = flags3_panel(0)
     starts = haar_unitaries(np.random.default_rng(3), 40, 3)
-    U, _, res, steps = orbit3.gauss_newton_reduce(A, starts, list(CYCLIC_PATTERN), 3)
+    U, _, res, steps = orbit3.gauss_newton_reduce(A, starts, list(CYCLIC_PATTERN))
     assert (res > 1e-18).sum() > 20
     for k in range(40):
-        want, taken = gauss_newton_one_start(A, starts[k], list(CYCLIC_PATTERN), 3)
+        want, taken = gauss_newton_one_start(A, starts[..., k], list(CYCLIC_PATTERN), 3)
         assert steps[k] == taken
-        assert np.max(np.abs(U[k] - want.unitary)) <= 1e-9
-
-
-def _last(z):
-    """A stack of matrices given stack axis first, in the reducer's layout:
-    the stack axis last, and a single matrix as a stack of one."""
-    return z[..., None] if z.ndim == 2 else np.moveaxis(z, 0, -1)
+        assert np.max(np.abs(U[..., k] - want.unitary)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -729,10 +737,11 @@ def test_mm_matches_matmul(n):
     def cx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    a, b, M = cx(30, n, n), cx(30, n, n), cx(n, n)
+    a, b, M = cx(n, n, 30), cx(n, n, 30), cx(n, n, 1)
     for x, y in ((a, b), (M, b), (a, M)):
-        want = x @ y
-        got = np.moveaxis(orbit3._mm(_last(x), _last(y)), -1, 0)
+        xs, ys = np.broadcast_arrays(x, y)
+        want = np.stack([xs[..., k] @ ys[..., k] for k in range(30)], axis=-1)
+        got = orbit3._mm(x, y)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -794,7 +803,7 @@ def test_a_packed_workspace_keeps_every_bit(n, monkeypatch):
     for block in (2048, 37, 16):
         monkeypatch.setattr(orbit3, "_BLOCK", block)
         packed, fresh = _packed_and_fresh(
-            monkeypatch, lambda: orbit3.gauss_newton_reduce(A, starts, list(I), 60)
+            monkeypatch, lambda: orbit3.gauss_newton_reduce(A, starts, list(I))
         )
         assert_same_stacks(packed, fresh)
 
@@ -808,7 +817,7 @@ def test_count_reductions_at_n4_on_three_positions(monkeypatch):
     I = [(1, 2), (2, 3), (3, 4)]
     starts = haar_unitaries(np.random.default_rng(3), 200, 4)
     packed, fresh = _packed_and_fresh(
-        monkeypatch, lambda: orbit3.gauss_newton_reduce(A, starts, I, 60)
+        monkeypatch, lambda: orbit3.gauss_newton_reduce(A, starts, I)
     )
     assert (packed[2] <= orbit3.RESID_TOL).sum() > 100
     assert_same_stacks(packed, fresh)
@@ -908,18 +917,12 @@ def test_numeric_reduce_matches_the_restart_loop(case, block, monkeypatch):
 
 def _pattern_jacobians(A, I, count, rng):
     """Pattern Jacobians and residuals of I at ``count`` Haar conjugates of A,
-    the stack axis first."""
+    shapes (2k, n^2, count) and (2k, count)."""
     n = A.shape[0]
     rows, cols = np.array(sorted(I), dtype=np.intp).T - 1
-    B = orbit3._conjugates(A, _last(haar_unitaries(rng, count, n)), FRESH)
+    B = orbit3._conjugates(A, haar_unitaries(rng, count, n), FRESH)
     J = orbit3._pattern_jacobian(B, orbit3._jacobian_table(n, rows, cols), FRESH)
-    return np.moveaxis(J, -1, 0), orbit3._residuals(B, rows, cols).T
-
-
-def _stack_first_steps(J, r):
-    """``orbit3._min_norm_steps`` on stacks with the stack axis first."""
-    x, svd_rows = orbit3._min_norm_steps(_last(J), r.T, FRESH)
-    return x.T, svd_rows
+    return J, orbit3._residuals(B, rows, cols)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -927,10 +930,10 @@ def test_min_norm_steps_match_lstsq(n):
     rng = np.random.default_rng(40 + n)
     I = {2: ne(2), 3: CYCLIC_PATTERN, 4: EXCEPTIONAL_4[0]}[n]
     J, r = _pattern_jacobians(random_traceless(rng, n), I, 40, rng)
-    deficient = np.zeros(len(J), dtype=bool)
+    deficient = np.zeros(J.shape[-1], dtype=bool)
     # one row of one Jacobian scaled down: still full rank, but its Gram
     # pivot falls below the bound
-    J[1, 0] *= 1e-6
+    J[0, :, 1] *= 1e-6
     deficient[1] = True
     if n == 4:
         # the nilpotent of test_numeric_reduce_obstructed_case: every
@@ -940,14 +943,15 @@ def test_min_norm_steps_match_lstsq(n):
         N[0, 1] = N[2, 3] = 1
         JN, rN = _pattern_jacobians(N / np.sqrt(2), I, 20, rng)
         mix = rng.permutation(60)
-        J, r = np.concatenate([J, JN])[mix], np.concatenate([r, rN])[mix]
+        J = np.concatenate([J, JN], axis=-1)[..., mix]
+        r = np.concatenate([r, rN], axis=-1)[..., mix]
         deficient = np.concatenate([deficient, np.ones(20, dtype=bool)])[mix]
-    x, svd_rows = _stack_first_steps(J, r)
+    x, svd_rows = orbit3._min_norm_steps(J, r, FRESH)
     assert np.array_equal(svd_rows, deficient)
     assert np.isfinite(x).all()
-    for Jk, rk, xk in zip(J, r, x):
-        want = np.linalg.lstsq(Jk, -rk, rcond=None)[0]
-        assert np.linalg.norm(xk - want) <= 1e-10 * np.linalg.norm(want)
+    for k in range(J.shape[-1]):
+        want = np.linalg.lstsq(J[..., k], -r[:, k], rcond=None)[0]
+        assert np.linalg.norm(x[:, k] - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
@@ -964,23 +968,24 @@ def test_min_norm_steps_match_lstsq(n):
 )
 def test_jacobian_table_matches_the_commutator_stack(n, positions):
     rng = np.random.default_rng(80 + n + len(positions))
-    B = rng.normal(size=(25, n, n)) + 1j * rng.normal(size=(25, n, n))
+    B = rng.normal(size=(n, n, 25)) + 1j * rng.normal(size=(n, n, 25))
     rows, cols = np.array(positions, dtype=np.intp).T - 1
-    work = orbit3._Workspace(n, 2 * len(rows), len(B))
-    J = orbit3._pattern_jacobian(_last(B), orbit3._jacobian_table(n, rows, cols), work)
-    assert J.shape == (2 * len(positions), n * n, len(B))
+    work = orbit3._Workspace(n, 2 * len(rows), 25)
+    J = orbit3._pattern_jacobian(B, orbit3._jacobian_table(n, rows, cols), work)
+    assert J.shape == (2 * len(positions), n * n, 25)
     pos0 = list(zip(rows, cols))
-    for k, Bk in enumerate(B):
-        assert np.max(np.abs(J[..., k] - commutator_jacobian(Bk, pos0))) <= 1e-15
+    for k in range(25):
+        want = commutator_jacobian(B[..., k], pos0)
+        assert np.max(np.abs(J[..., k] - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_basis_table_assembles_the_steps(n):
     coef = np.random.default_rng(90 + n).normal(size=(n * n, 30))
     X = orbit3._skew_combinations(orbit3._basis_table(n), coef, FRESH)
-    assert X.shape == (n, n, 30)
-    want = np.tensordot(coef, skew_hermitian_basis(n), (0, 0))
-    assert np.max(np.abs(np.moveaxis(X, -1, 0) - want)) <= 1e-15
+    want = np.tensordot(skew_hermitian_basis(n), coef, (0, 0))
+    assert X.shape == want.shape == (n, n, 30)
+    assert np.max(np.abs(X - want)) <= 1e-15
 
 
 def test_is_transversal_at_keeps_the_commutator_verdicts():
@@ -1000,18 +1005,20 @@ def test_is_transversal_at_keeps_the_commutator_verdicts():
 
 
 def _skew_from_spectrum(rng, spectrum, count):
-    """Skew-hermitian i V diag(spectrum) V*: the first with V = I, so its
-    spectrum is exact, the rest with Haar V."""
+    """Skew-hermitian i V diag(spectrum) V*, a (3, 3, count) stack: the first
+    with V = I, so its spectrum is exact, the rest with Haar V."""
     V = haar_unitaries(rng, count, 3)
-    V[0] = np.eye(3)
-    return 1j * (V * np.asarray(spectrum, dtype=float)) @ V.conj().swapaxes(1, 2)
+    V[..., 0] = np.eye(3)
+    w = np.asarray(spectrum, dtype=float)
+    return 1j * np.einsum("ikr,k,jkr->ijr", V, w, V.conj())
 
 
 def _exp3_cases():
     rng = np.random.default_rng(60)
     J, r = _pattern_jacobians(random_traceless(rng), CYCLIC_PATTERN, 40, rng)
-    steps = np.tensordot(_stack_first_steps(J, r)[0], skew_hermitian_basis(3), axes=(1, 0))
-    unit = steps / np.linalg.norm(steps, axis=(1, 2))[:, None, None]
+    coef = orbit3._min_norm_steps(J, r, FRESH)[0]
+    steps = np.tensordot(skew_hermitian_basis(3), coef, axes=(0, 0))
+    unit = steps / np.linalg.norm(steps, axis=(0, 1))
     return {
         "steps": steps,
         # det H0 = 2 and -2 with a double eigenvalue, and det H0 = 0; the
@@ -1038,12 +1045,14 @@ def _exp3_cases():
 )
 def test_exp3_matches_the_eigh_oracle(case):
     X = _exp3_cases()[case]
-    I = np.broadcast_to(np.eye(3), X.shape)
-    trial = orbit3._exp3_trials(_last(I), _last(X), FRESH)
+    R = X.shape[-1]
+    I = np.broadcast_to(np.eye(3)[..., None], X.shape)
+    trial = orbit3._exp3_trials(I, X, FRESH)
     # every step length of the line search
     for t in 0.5 ** np.arange(10):
-        got = np.moveaxis(trial(t, np.arange(len(X))), -1, 0)
-        for G, Y in zip(got, t * X):
+        got = trial(t, np.arange(R))
+        for k in range(R):
+            G, Y = got[..., k], t * X[..., k]
             scale = max(1.0, np.linalg.norm(Y))
             assert np.linalg.norm(G - _expm_skew(Y)) <= 1e-14 * scale
             assert np.linalg.norm(G.conj().T @ G - np.eye(3)) <= 1e-14
@@ -1051,15 +1060,15 @@ def test_exp3_matches_the_eigh_oracle(case):
 
 def test_exp3_of_zero_is_the_identity():
     U = haar_unitaries(np.random.default_rng(61), 2, 3)
-    U[0] = np.eye(3)
-    X = np.zeros((2, 3, 3), dtype=complex)
+    U[..., 0] = np.eye(3)
+    X = np.zeros((3, 3, 2), dtype=complex)
     # a zero traceless part: exp(t X) is the scalar e^{-0.3 i t}
-    X[1] = -0.3j * np.eye(3)
-    trial = orbit3._exp3_trials(_last(U), _last(X), FRESH)
+    X[..., 1] = -0.3j * np.eye(3)
+    trial = orbit3._exp3_trials(U, X, FRESH)
     for t in 0.5 ** np.arange(10):
-        got = np.moveaxis(trial(t, np.arange(2)), -1, 0)
-        assert np.array_equal(got[0], U[0])
-        assert np.max(np.abs(got[1] - np.exp(-0.3j * t) * U[1])) <= 1e-15
+        got = trial(t, np.arange(2))
+        assert np.array_equal(got[..., 0], U[..., 0])
+        assert np.max(np.abs(got[..., 1] - np.exp(-0.3j * t) * U[..., 1])) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1083,9 +1092,17 @@ def test_reducer_endpoints_are_unitary_with_their_conjugates(n, monkeypatch):
         return x, rows
 
     monkeypatch.setattr(orbit3, "_min_norm_steps", recording)
-    U, B, _, _ = orbit3.gauss_newton_reduce(A, haar_unitaries(rng, 40, n), list(I), 80)
+    # the starts are read, never written, and the endpoints come back in the
+    # layout of the starts
+    starts = haar_unitaries(rng, 40, n)
+    before = starts.tobytes()
+    U, B, _, _ = orbit3.gauss_newton_reduce(A, starts, list(I))
+    assert starts.tobytes() == before
+    for stack in (U, B):
+        assert stack.shape == (n, n, 40) and stack.flags.c_contiguous
     assert any(svd_rows) == (n == 4)
-    for Uk, Bk in zip(U, B):
+    for k in range(40):
+        Uk, Bk = U[..., k], B[..., k]
         assert np.linalg.norm(Uk.conj().T @ Uk - np.eye(n)) <= 1e-14
         assert np.max(np.abs(Bk - Uk.conj().T @ A @ Uk)) <= 1e-14
 
